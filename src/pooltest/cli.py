@@ -15,6 +15,7 @@ and removes partial outputs if it fails midway.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -72,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Artifacts:
-    """Tracks files written by one command so a failure can remove them."""
+    """Tracks files written by one command; leaving its block by an
+    exception removes them."""
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
@@ -84,21 +86,27 @@ class _Artifacts:
         self.written.append(target)
         return target
 
-    def discard(self) -> None:
-        for target in self.written:
-            target.unlink(missing_ok=True)
+    def __enter__(self) -> _Artifacts:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for target in self.written:
+                target.unlink(missing_ok=True)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_model_arguments(parser: argparse.ArgumentParser, *, coefficients: bool = True) -> None:
+    """The kit and curve-shape flags; coefficients=False leaves out alpha and beta."""
     group = parser.add_argument_group("dilution model")
     group.add_argument("--se-i", type=float, default=0.99, help="kit sensitivity on one specimen (default 0.99)")
     group.add_argument("--sp", type=float, default=0.99, help="kit specificity (default 0.99)")
-    group.add_argument("--alpha", type=float, default=BATEMAN_FIT_ALPHA, help="dilution exponent (default: Bateman fit)")
-    group.add_argument("--beta", type=float, default=BATEMAN_FIT_BETA, help="linear pool-size coefficient (default: Bateman fit)")
+    if coefficients:
+        group.add_argument("--alpha", type=float, default=BATEMAN_FIT_ALPHA, help="dilution exponent (default: Bateman fit)")
+        group.add_argument("--beta", type=float, default=BATEMAN_FIT_BETA, help="linear pool-size coefficient (default: Bateman fit)")
     group.add_argument(
         "--ratio-orientation",
         choices=sorted(RATIO_ORIENTATIONS),
@@ -123,6 +131,15 @@ def _model_from_args(args: argparse.Namespace) -> DilutionModel:
     )
 
 
+def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
+    return SweepSpec(
+        p_values=tuple(args.p) if args.p else DEFAULT_SWEEP_PREVALENCES,
+        n_range=(args.n_min, args.n_max),
+        r_range=(args.r_min, args.r_max),
+        model=_model_from_args(args),
+    )
+
+
 def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, choices=[k.value for k in Procedure], help="testing procedure")
     parser.add_argument("--n", type=int, default=1, help="pool size (default 1)")
@@ -141,6 +158,16 @@ def _model_record_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
     ]
 
 
+def _sweep_record_pairs(args: argparse.Namespace, p_values) -> list[tuple[str, str]]:
+    return [
+        ("n_max", str(args.n_max)),
+        ("n_min", str(args.n_min)),
+        ("p_values", ",".join(_fmt(p) for p in p_values)),
+        ("r_max", str(args.r_max)),
+        ("r_min", str(args.r_min)),
+    ] + _model_record_pairs(args)
+
+
 def _write_record(artifacts: _Artifacts, command: str, pairs: list[tuple[str, str]]) -> None:
     lines = [f"tool = pooltest {__version__}", f"command = {command}"]
     lines += [f"{key} = {value}" for key, value in pairs]
@@ -148,18 +175,12 @@ def _write_record(artifacts: _Artifacts, command: str, pairs: list[tuple[str, st
 
 
 def _metrics_lines(metrics: Metrics) -> list[str]:
-    lines = [
-        f"e_tests = {_fmt(metrics.e_tests)}",
-        f"e_fn = {_fmt(metrics.e_fn)}",
-        f"e_fp = {_fmt(metrics.e_fp)}",
-    ]
-    if metrics.e_tests_individual_stage is not None:
-        lines.append(f"e_tests_individual_stage = {_fmt(metrics.e_tests_individual_stage)}")
-    if metrics.e_fn_pool_stage is not None:
-        lines.append(f"e_fn_pool_stage = {_fmt(metrics.e_fn_pool_stage)}")
-    if metrics.e_fn_individual_stage is not None:
-        lines.append(f"e_fn_individual_stage = {_fmt(metrics.e_fn_individual_stage)}")
-    return lines
+    """One line per metric; the optional stage diagnostics only when present."""
+    values = [(name, getattr(metrics, name)) for name in (
+        "e_tests", "e_fn", "e_fp",
+        "e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage",
+    )]
+    return [f"{name} = {_fmt(value)}" for name, value in values if value is not None]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -178,8 +199,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     print("\n".join(lines))
     if args.out:
-        artifacts = _Artifacts(args.out)
-        try:
+        with _Artifacts(args.out) as artifacts:
             artifacts.path("evaluate-result.txt").write_text("\n".join(lines) + "\n")
             _write_record(
                 artifacts,
@@ -192,9 +212,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 ]
                 + _model_record_pairs(args),
             )
-        except BaseException:
-            artifacts.discard()
-            raise
     return 0
 
 
@@ -223,8 +240,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     print("\n".join(lines))
     if args.out:
-        artifacts = _Artifacts(args.out)
-        try:
+        with _Artifacts(args.out) as artifacts:
             artifacts.path("simulate-result.txt").write_text("\n".join(lines) + "\n")
             _write_record(
                 artifacts,
@@ -240,40 +256,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 ]
                 + _model_record_pairs(args),
             )
-        except BaseException:
-            artifacts.discard()
-            raise
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    model = _model_from_args(args)
-    p_values = tuple(args.p) if args.p else DEFAULT_SWEEP_PREVALENCES
-    spec = SweepSpec(
-        p_values=p_values,
-        n_range=(args.n_min, args.n_max),
-        r_range=(args.r_min, args.r_max),
-        model=model,
-    )
+    spec = _spec_from_args(args)
     points = sweep(spec)
-    artifacts = _Artifacts(args.out)
-    try:
+    with _Artifacts(args.out) as artifacts:
         write_sweep_csv(points, artifacts.path("sweep.csv"))
-        _write_record(
-            artifacts,
-            "sweep",
-            [
-                ("n_max", str(args.n_max)),
-                ("n_min", str(args.n_min)),
-                ("p_values", ",".join(_fmt(p) for p in p_values)),
-                ("r_max", str(args.r_max)),
-                ("r_min", str(args.r_min)),
-            ]
-            + _model_record_pairs(args),
-        )
-    except BaseException:
-        artifacts.discard()
-        raise
+        _write_record(artifacts, "sweep", _sweep_record_pairs(args, spec.p_values))
     print(f"wrote {len(points)} points to {artifacts.out_dir / 'sweep.csv'}")
     return 0
 
@@ -301,8 +292,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     ]
     print("\n".join(lines))
     if args.out:
-        artifacts = _Artifacts(args.out)
-        try:
+        with _Artifacts(args.out) as artifacts:
             artifacts.path("fit-result.txt").write_text("\n".join(lines) + "\n")
             _write_record(
                 artifacts,
@@ -315,9 +305,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                     ("sp", _fmt(args.sp)),
                 ],
             )
-        except BaseException:
-            artifacts.discard()
-            raise
     return 0
 
 
@@ -331,12 +318,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     print("\n".join(lines))
     if args.out:
-        artifacts = _Artifacts(args.out)
-        try:
-            import csv as _csv
-
+        with _Artifacts(args.out) as artifacts:
             with artifacts.path("verification.csv").open("w", newline="") as handle:
-                writer = _csv.writer(handle)
+                writer = csv.writer(handle)
                 writer.writerow(["kind", "metric", "mode", "value", "configs"])
                 for row in rows:
                     writer.writerow(
@@ -352,33 +336,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 ]
                 + _model_record_pairs(args),
             )
-        except BaseException:
-            artifacts.discard()
-            raise
     return 0
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    import csv as _csv
-
-    if args.sweep_csv:
-        points = read_sweep_csv(args.sweep_csv)
-    else:
-        model = _model_from_args(args)
-        p_values = tuple(args.p) if args.p else DEFAULT_SWEEP_PREVALENCES
-        spec = SweepSpec(
-            p_values=p_values,
-            n_range=(args.n_min, args.n_max),
-            r_range=(args.r_min, args.r_max),
-            model=model,
-        )
-        points = sweep(spec)
+    points = read_sweep_csv(args.sweep_csv) if args.sweep_csv else sweep(_spec_from_args(args))
 
     p_values = sorted({pt.p for pt in points})
-    artifacts = _Artifacts(args.out)
-    try:
+    with _Artifacts(args.out) as artifacts:
         with artifacts.path("tests_by_fn_cap.csv").open("w", newline="") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(["p", "cap", "relative_tests", "n", "r"])
             for p in p_values:
                 retested = [
@@ -386,47 +353,23 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                 ]
                 for cap in FN_INCREASE_CAPS:
                     best = min_tests_under_fn_cap(retested, cap)
-                    if best is None:
-                        writer.writerow([_fmt(p), _fmt(cap), "", "", ""])
-                    else:
-                        writer.writerow(
-                            [
-                                _fmt(p),
-                                _fmt(cap),
-                                _fmt(best.relative_tests),
-                                best.config.n,
-                                best.config.r,
-                            ]
-                        )
+                    cells = ["", "", ""] if best is None else [
+                        _fmt(best.relative_tests), best.config.n, best.config.r
+                    ]
+                    writer.writerow([_fmt(p), _fmt(cap)] + cells)
         with artifacts.path("false_positive_summary.csv").open("w", newline="") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(["p", "individual", "dorfman", "modified"])
             for p in p_values:
                 summary = fp_summary([pt for pt in points if pt.p == p])
+                # Procedure lists individual, dorfman, modified: the header's order.
                 writer.writerow(
-                    [_fmt(p)]
-                    + [
-                        _fmt(summary[kind]) if kind in summary else ""
-                        for kind in (
-                            Procedure.INDIVIDUAL,
-                            Procedure.DORFMAN,
-                            Procedure.MODIFIED,
-                        )
-                    ]
+                    [_fmt(p)] + [_fmt(summary[kind]) if kind in summary else "" for kind in Procedure]
                 )
         record_pairs = [("source", str(args.sweep_csv) if args.sweep_csv else "sweep")]
         if not args.sweep_csv:
-            record_pairs += [
-                ("n_max", str(args.n_max)),
-                ("n_min", str(args.n_min)),
-                ("p_values", ",".join(_fmt(p) for p in p_values)),
-                ("r_max", str(args.r_max)),
-                ("r_min", str(args.r_min)),
-            ] + _model_record_pairs(args)
+            record_pairs += _sweep_record_pairs(args, p_values)
         _write_record(artifacts, "tables", record_pairs)
-    except BaseException:
-        artifacts.discard()
-        raise
     print(f"wrote tables for {len(p_values)} prevalences to {artifacts.out_dir}")
     return 0
 
@@ -467,20 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("fit", help="calibrate the dilution curve")
     cmd.add_argument("--fit-data", help="CSV of observations with header n,k,se (default: built-in points)")
-    cmd.add_argument("--se-i", type=float, default=0.99, help="kit sensitivity (default 0.99)")
-    cmd.add_argument("--sp", type=float, default=0.99, help="kit specificity (default 0.99)")
-    cmd.add_argument(
-        "--ratio-orientation",
-        choices=sorted(RATIO_ORIENTATIONS),
-        default=RATIO_K_OVER_N,
-        help="dilution ratio inside the power law (default k-over-n)",
-    )
-    cmd.add_argument(
-        "--linear-term",
-        choices=sorted(LINEAR_TERMS),
-        default=LINEAR_POOL_SIZE,
-        help="what the linear coefficient multiplies (default pool-size)",
-    )
+    _add_model_arguments(cmd, coefficients=False)
     cmd.add_argument("--out", help="directory for result file and run record")
     cmd.set_defaults(handler=_cmd_fit)
 

@@ -26,13 +26,15 @@ import numpy as np
 
 from .dilution import DilutionModel, TestKit
 from .kernels import (
-    binomial_pmf_row,
+    PoolOutcomes,
     check_pool_size,
     check_prevalence,
     check_retest_count,
-    pool_positive_prob,
-    pool_test_outcome_probs,
+    pool_outcomes,
 )
+# Not called here, but bound under this module too: the benchmark's tracer
+# wraps these names where the evaluators used to look them up.
+from .kernels import binomial_pmf_row, pool_test_outcome_probs  # noqa: F401
 
 __all__ = [
     "Procedure",
@@ -153,39 +155,31 @@ def eval_individual(kit: TestKit, p: float) -> Metrics:
     )
 
 
-def _pooled_metrics(model: DilutionModel, p: float, n: int, r: int) -> Metrics:
+def _pooled_metrics(
+    model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None
+) -> Metrics:
     """Shared dorfman / modified computation; dorfman is the r = 1 case."""
     kit = model.kit
-
-    # Probability the pool is declared positive (some read positive within r).
-    p_declared_pos, _ = pool_test_outcome_probs(model, n, p, kit.sp, r)
-
-    k = np.arange(1, n + 1)
-    se = np.array([model.sensitivity(n, int(j)) for j in k])
-    se_rep = 1.0 - (1.0 - se) ** r
-
-    pmf = binomial_pmf_row(n, p)            # Pr(k; n, p), k = 0..n
-    pmf_pos = binomial_pmf_row(n - 1, p)    # Pr(k-1; n-1, p) for k = 1..n
+    if outcomes is None:
+        outcomes = pool_outcomes(model, n, p, kit.sp, r)
+    elif (outcomes.n, outcomes.p, outcomes.sp) != (n, p, kit.sp) or r >= len(outcomes.extra_reads):
+        raise ValueError(f"pool outcomes do not cover n={n}, p={p}, sp={kit.sp}, r={r}")
+    p_declared_pos = outcomes.p_declared_pos[r]
+    detected_share = outcomes.detected_share[r]
 
     # A positive subject is missed either because its pool never reads
     # positive, or because the follow-up individual test misses it.
-    e_fn_pool = p * float((1.0 - se_rep) @ pmf_pos)
-    e_fn_individual = p * (1.0 - kit.se_i) * float(se_rep @ pmf_pos)
+    e_fn_pool = p * outcomes.missed_share[r]
+    e_fn_individual = p * (1.0 - kit.se_i) * detected_share
 
     # A negative subject is falsely flagged only in the individual stage, so
     # its pool must read positive first: that pool-positive probability for a
     # negative subject is P(T=1) minus the positive-subject share.
-    e_fp = (1.0 - kit.sp) * (p_declared_pos - p * float(se_rep @ pmf_pos))
+    e_fp = (1.0 - kit.sp) * (p_declared_pos - p * detected_share)
 
-    # Pool tests per subject: the first test always happens; test l in 2..r
-    # happens only if reads 1..l-1 all came back negative.
-    p_pool_any_pos = pool_positive_prob(p, n)
-    extra_reads = 0.0
-    for l in range(2, r + 1):
-        all_neg_clean = (1.0 - p_pool_any_pos) * kit.sp ** (l - 1)
-        all_neg_diluted = float(((1.0 - se) ** (l - 1)) @ pmf[1:])
-        extra_reads += all_neg_clean + all_neg_diluted
-    e_tests = (1.0 + extra_reads) / n + p_declared_pos
+    # Pool tests per subject: the first read always happens, later ones only
+    # after negative reads.
+    e_tests = (1.0 + outcomes.extra_reads[r]) / n + p_declared_pos
 
     return Metrics(
         e_tests=e_tests,
@@ -197,19 +191,30 @@ def _pooled_metrics(model: DilutionModel, p: float, n: int, r: int) -> Metrics:
     )
 
 
-def eval_dorfman(model: DilutionModel, p: float, n: int) -> Metrics:
-    """Metrics for classic two-stage pooling: one pool test, no retests."""
+def eval_dorfman(
+    model: DilutionModel, p: float, n: int, outcomes: PoolOutcomes | None = None
+) -> Metrics:
+    """Metrics for classic two-stage pooling: one pool test, no retests.
+
+    outcomes, when given, is pool_outcomes of this model, n and p for any
+    r_max; a sweep computes it once per (p, n) and serves every r from it.
+    """
     p = check_prevalence(p)
     n = check_pool_size(n, minimum=2)
-    return _pooled_metrics(model, p, n, r=1)
+    return _pooled_metrics(model, p, n, 1, outcomes)
 
 
-def eval_modified(model: DilutionModel, p: float, n: int, r: int) -> Metrics:
-    """Metrics for pooling with up to r pool tests, early-stopped on a positive."""
+def eval_modified(
+    model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None = None
+) -> Metrics:
+    """Metrics for pooling with up to r pool tests, early-stopped on a positive.
+
+    outcomes works as in eval_dorfman, with r_max >= r.
+    """
     p = check_prevalence(p)
     n = check_pool_size(n, minimum=2)
     r = check_retest_count(r)
-    return _pooled_metrics(model, p, n, r)
+    return _pooled_metrics(model, p, n, r, outcomes)
 
 
 def evaluate(model: DilutionModel, p: float, config: ProcedureConfig) -> Metrics:
@@ -221,16 +226,25 @@ def evaluate(model: DilutionModel, p: float, config: ProcedureConfig) -> Metrics
     return eval_modified(model, p, config.n, config.r)
 
 
-def _pool_read_probabilities(
-    model: DilutionModel, p: float, n: int, r: int
-) -> tuple[float, float]:
-    """(P(pool declared positive), detection share of a positive subject's pool)."""
-    p_declared_pos, _ = pool_test_outcome_probs(model, n, p, model.kit.sp, r)
-    k = np.arange(1, n + 1)
-    se_rep = 1.0 - (1.0 - np.array([model.sensitivity(n, int(j)) for j in k])) ** r
-    pmf_pos = binomial_pmf_row(n - 1, p)
-    detected_share = float(se_rep @ pmf_pos)
-    return p_declared_pos, detected_share
+def _posterior(
+    model: DilutionModel, p: float, n: int, r: int, declared_positive: bool
+) -> float:
+    p = check_prevalence(p)
+    n = check_pool_size(n, minimum=2)
+    r = check_retest_count(r)
+    outcomes = pool_outcomes(model, n, p, model.kit.sp, r)
+    if declared_positive:
+        share, event = outcomes.detected_share[r], outcomes.p_declared_pos[r]
+    else:
+        share, event = outcomes.missed_share[r], outcomes.p_declared_neg[r]
+    if event == 0.0:
+        outcome = "positive" if declared_positive else "negative"
+        raise ValueError(
+            f"P(pool declared {outcome}) is 0 in double precision at p={p}, n={n}, "
+            f"r={r}, so the posterior given that outcome is undefined"
+        )
+    # p * share <= P(outcome) term by term over k; only rounding can pass 1.
+    return min(1.0, float(p * share / event))
 
 
 def posterior_given_negative_pool(
@@ -239,21 +253,19 @@ def posterior_given_negative_pool(
     """P(subject positive | its pool was declared negative).
 
     This is the per-subject leakage of the pool stage; with no dilution and a
-    perfect kit it would be zero.
+    perfect kit it would be zero. Raises ValueError when a pool is never
+    declared negative.
     """
-    p = check_prevalence(p)
-    n = check_pool_size(n, minimum=2)
-    r = check_retest_count(r)
-    p_declared_pos, detected_share = _pool_read_probabilities(model, p, n, r)
-    return p * (1.0 - detected_share) / (1.0 - p_declared_pos)
+    return _posterior(model, p, n, r, declared_positive=False)
 
 
 def posterior_given_positive_pool(
     model: DilutionModel, p: float, n: int, r: int = 1
 ) -> float:
-    """P(subject positive | its pool was declared positive)."""
-    p = check_prevalence(p)
-    n = check_pool_size(n, minimum=2)
-    r = check_retest_count(r)
-    p_declared_pos, detected_share = _pool_read_probabilities(model, p, n, r)
-    return p * detected_share / p_declared_pos
+    """P(subject positive | its pool was declared positive).
+
+    Raises ValueError when a pool is never declared positive, as with pools
+    so large that the dilution curve reads 0 and the clean-pool chance
+    underflows.
+    """
+    return _posterior(model, p, n, r, declared_positive=True)

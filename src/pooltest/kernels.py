@@ -1,15 +1,26 @@
-"""Probability kernels shared by the analytic evaluators and the sweep.
+"""Probability kernels shared by the analytic evaluators, the sweep and the simulator.
 
-Everything here is a pure function of scalars (or returns a small ndarray).
+Beside the input validators and a few scalar helpers, the module holds one
+vectorised pool kernel, pool_outcomes. For a sensitivity model, pool size n
+and prevalence p it returns every pool-read probability the closed forms
+need, for each read budget r = 0..r_max at once. It builds the read
+probability row over k = 0..n positives once, two binomial pmf rows, and
+the matrix of miss chances (1 - Se(n,k))^j for j = 0..r_max; each result is
+that matrix, or one minus it, times a pmf row. Every probability is its own
+sum of nonnegative terms, never one minus another, so a missed share near
+1e-18 or a declared-positive chance that underflows to 0 keeps its digits.
+
 The binomial pmf is delegated to scipy, whose implementation keeps the
 row-sum error near machine epsilon even for very large n; a naive
-exp(lgamma) construction loses two digits by n = 10**4.
+exp(lgamma) construction loses two digits by n = 10**4. Its per-call
+overhead dominates at small n, which is why the kernel asks for two rows per
+(n, p) and serves every r from them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 from scipy import stats
@@ -20,6 +31,9 @@ __all__ = [
     "pool_positive_prob",
     "pool_sensitivity_avg",
     "pool_test_outcome_probs",
+    "PoolOutcomes",
+    "pool_outcomes",
+    "sensitivity_row",
     "SensitivityModel",
     "check_prevalence",
     "check_pool_size",
@@ -122,6 +136,11 @@ def pool_positive_prob(p: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
+def sensitivity_row(model: SensitivityModel, n: int) -> np.ndarray:
+    """[Se(n,1), ..., Se(n,n)], the one loop over k: models only promise a scalar Se."""
+    return np.array([model.sensitivity(n, k) for k in range(1, n + 1)])
+
+
 def pool_sensitivity_avg(model: SensitivityModel, n: int, p: float) -> float:
     """Average pool sensitivity over the positive-count distribution.
 
@@ -135,9 +154,53 @@ def pool_sensitivity_avg(model: SensitivityModel, n: int, p: float) -> float:
     p_pos = pool_positive_prob(p, n)
     if p_pos == 0.0:
         raise ValueError(f"pool-positive probability is zero at p={p}, n={n}")
-    pmf = binomial_pmf_row(n, p)
-    weighted = sum(model.sensitivity(n, k) * pmf[k] for k in range(1, n + 1))
-    return float(weighted / p_pos)
+    return float(sensitivity_row(model, n) @ binomial_pmf_row(n, p)[1:] / p_pos)
+
+
+class PoolOutcomes(NamedTuple):
+    """Pool-read probabilities of one (model, n, p, sp), indexed by read budget.
+
+    Each array has r_max + 1 entries. Entry r holds the value for a pool read
+    up to r times, stopping at the first positive read; entry 0 (no read at
+    all) is kept so that r indexes directly. The detected and missed shares
+    are taken over the pool of a given positive subject.
+    """
+
+    n: int
+    p: float
+    sp: float
+    p_declared_pos: np.ndarray
+    p_declared_neg: np.ndarray
+    detected_share: np.ndarray
+    missed_share: np.ndarray
+    extra_reads: np.ndarray  # expected pool reads after the first
+
+
+def pool_outcomes(
+    model: SensitivityModel, n: int, p: float, sp: float, r_max: int
+) -> PoolOutcomes:
+    """Every pool-read probability of a pool of n at prevalence p, for r = 0..r_max."""
+    n = check_pool_size(n)
+    p = check_prevalence(p)
+    sp = float(sp)
+    if not 0.0 < sp <= 1.0:
+        raise ValueError(f"sp must lie in (0, 1], got {sp!r}")
+    r_max = check_retest_count(r_max)
+    # Chance that one read of a pool with k positives comes back negative;
+    # for the clean pool (k = 0) that is the specificity.
+    miss = np.concatenate(([sp], 1.0 - sensitivity_row(model, n)))
+    miss_pow = miss ** np.arange(r_max + 1)[:, None]
+    # Pr(k; n, p), and Pr(k-1; n-1, p) = P(k positives | a given subject is positive).
+    weights = np.zeros((n + 1, 2))
+    weights[:, 0] = binomial_pmf_row(n, p)
+    weights[1:, 1] = binomial_pmf_row(n - 1, p)
+    # Summed in floating point, a share can land one ulp above 1.
+    neg, missed = np.minimum(miss_pow @ weights, 1.0).T
+    pos, detected = np.minimum((1.0 - miss_pow) @ weights, 1.0).T
+    # Read l = 2..r happens only when reads 1..l-1 were all negative.
+    extra_reads = np.zeros(r_max + 1)
+    extra_reads[2:] = np.cumsum(neg[1:-1])
+    return PoolOutcomes(n, p, sp, pos, neg, detected, missed, extra_reads)
 
 
 def pool_test_outcome_probs(
@@ -147,19 +210,9 @@ def pool_test_outcome_probs(
 
     A pool with k >= 1 positives is declared positive with probability
     1 - (1 - Se(n,k))^r, a clean pool with probability 1 - sp^r; both are
-    averaged over the binomial count distribution. The pair sums to one by
-    construction.
+    averaged over the binomial count distribution. Each of the pair is its
+    own sum, so they add to one up to rounding.
     """
-    n = check_pool_size(n)
-    p = check_prevalence(p)
-    sp = float(sp)
-    if not 0.0 < sp <= 1.0:
-        raise ValueError(f"sp must lie in (0, 1], got {sp!r}")
     r = check_retest_count(r)
-    pmf = binomial_pmf_row(n, p)
-    positive = (1.0 - sp**r) * pmf[0]
-    for k in range(1, n + 1):
-        se_rep = 1.0 - (1.0 - model.sensitivity(n, k)) ** r
-        positive += se_rep * pmf[k]
-    positive = min(1.0, max(0.0, float(positive)))
-    return positive, 1.0 - positive
+    outcomes = pool_outcomes(model, n, p, sp, r)
+    return float(outcomes.p_declared_pos[r]), float(outcomes.p_declared_neg[r])

@@ -27,7 +27,7 @@ from .evaluate import (
     eval_individual,
     eval_modified,
 )
-from .kernels import MAX_POOL_SIZE, MAX_RETESTS, check_prevalence
+from .kernels import MAX_POOL_SIZE, MAX_RETESTS, check_prevalence, pool_outcomes
 
 __all__ = [
     "DEFAULT_SWEEP_PREVALENCES",
@@ -170,18 +170,24 @@ def sweep(spec: SweepSpec) -> tuple[ParetoPoint, ...]:
         records: list[tuple[ProcedureConfig, Metrics]] = [
             (ProcedureConfig(Procedure.INDIVIDUAL), baseline)
         ]
+        retested: list[tuple[ProcedureConfig, Metrics]] = []
+        # One kernel call per pool size serves dorfman (r = 1) and every r.
         for n in range(n_lo, n_hi + 1):
+            outcomes = pool_outcomes(spec.model, n, p, spec.model.kit.sp, r_hi)
             records.append(
-                (ProcedureConfig(Procedure.DORFMAN, n=n), eval_dorfman(spec.model, p, n))
-            )
-        for n in range(n_lo, n_hi + 1):
-            for r in range(r_lo, r_hi + 1):
-                records.append(
-                    (
-                        ProcedureConfig(Procedure.MODIFIED, n=n, r=r),
-                        eval_modified(spec.model, p, n, r),
-                    )
+                (
+                    ProcedureConfig(Procedure.DORFMAN, n=n),
+                    eval_dorfman(spec.model, p, n, outcomes),
                 )
+            )
+            retested.extend(
+                (
+                    ProcedureConfig(Procedure.MODIFIED, n=n, r=r),
+                    eval_modified(spec.model, p, n, r, outcomes),
+                )
+                for r in range(r_lo, r_hi + 1)
+            )
+        records += retested
 
         objectives = [(m.e_tests, m.e_fn) for _, m in records]
         joint_front = _non_dominated_indices(objectives)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dilution import DilutionModel
 from .evaluate import Metrics, Procedure, ProcedureConfig, evaluate
-from .kernels import check_prevalence
+from .kernels import check_prevalence, sensitivity_row
 
 __all__ = [
     "DESK_SCALE_SUBJECTS",
@@ -127,11 +127,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _sensitivity_row(model: DilutionModel, n: int) -> np.ndarray:
     """Read probabilities by positive count k = 0..n; k = 0 is a false positive."""
-    row = np.empty(n + 1)
-    row[0] = 1.0 - model.kit.sp
-    for k in range(1, n + 1):
-        row[k] = model.sensitivity(n, k)
-    return row
+    return np.concatenate(([1.0 - model.kit.sp], sensitivity_row(model, n)))
 
 
 def _run_individual_chunk(config: SimConfig, start: int, count: int, chunk_index: int):

@@ -60,6 +60,15 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--kind", "dorfman", "--n", "8"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, p", [("5000", "0.5"), ("10000", "0.9")])
+    def test_pool_never_declared_positive_exits_one(self, capsys, n, p):
+        """The dilution curve reads 0 and the clean-pool chance underflows, so
+        the positive-pool posterior is undefined: a clean error, not a crash."""
+        assert main(["evaluate", "--kind", "dorfman", "--n", n, "--p", p]) == 1
+        err = capsys.readouterr().err
+        assert "pooltest: error: P(pool declared positive) is 0" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["evaluate", "--kind", "dorfman", "--n", "8", "--p", "0.02", "--bogus"]) == 1
         capsys.readouterr()

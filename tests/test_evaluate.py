@@ -1,5 +1,8 @@
 """Closed-form evaluators against exhaustive enumeration and the lemma suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,26 @@ from pooltest import (
     posterior_given_negative_pool,
     posterior_given_positive_pool,
 )
+from pooltest.kernels import pool_outcomes
 
-from _oracles import enumerate_pooled_metrics
+from _oracles import enumerate_pooled_metrics, exact_binomial_pmf
+
+_METRIC_FIELDS = (
+    "e_tests",
+    "e_fp",
+    "e_fn",
+    "e_tests_individual_stage",
+    "e_fn_pool_stage",
+    "e_fn_individual_stage",
+)
+
+
+def _assert_metrics_close(got, want, context):
+    for name in _METRIC_FIELDS:
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15,
+            err_msg=f"{name} at {context}",
+        )
 
 
 class _ForcedDetectionModel:
@@ -164,6 +185,91 @@ class TestPooledEvaluators:
             eval_modified(model, 0.0, 5, 2)
 
 
+class TestPoolStageMisses:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pool_stage_misses_match_exact_sum(self, n):
+        """p sum_k (1 - Se(n,k))^r Pr(k-1; n-1, p) in rational arithmetic. At
+        r = 10 the terms are near 1e-18, where one minus the detected share
+        would keep only the digits left over from 1."""
+        model = bateman_fit_model()
+        p, r = 0.001, 10
+        exact_p = Fraction(p)
+        exact = exact_p * sum(
+            (1 - Fraction(model.sensitivity(n, k))) ** r
+            * exact_binomial_pmf(k - 1, n - 1, exact_p)
+            for k in range(1, n + 1)
+        )
+        got = eval_modified(model, p, n, r).e_fn_pool_stage
+        np.testing.assert_allclose(got, float(exact), rtol=1e-12)
+
+
+def _loop_outcomes(model, p, n, r):
+    """The pool-read probabilities written as per-k loops, the way they read on
+    paper: the reference for the vectorised kernel."""
+    sp = model.kit.sp
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    pmf_pos = [math.comb(n - 1, k) * p**k * (1 - p) ** (n - 1 - k) for k in range(n)]
+    miss = [1.0 - model.sensitivity(n, k) for k in range(1, n + 1)]
+
+    def declared_neg(j):
+        return sp**j * pmf[0] + sum(m**j * w for m, w in zip(miss, pmf[1:]))
+
+    return {
+        "p_declared_pos": (1 - sp**r) * pmf[0] + sum((1 - m**r) * w for m, w in zip(miss, pmf[1:])),
+        "p_declared_neg": declared_neg(r),
+        "detected_share": sum((1 - m**r) * w for m, w in zip(miss, pmf_pos)),
+        "missed_share": sum(m**r * w for m, w in zip(miss, pmf_pos)),
+        "extra_reads": sum(declared_neg(j) for j in range(1, r)),
+    }
+
+
+class TestBatchedOutcomes:
+    def test_kernel_matches_per_k_loops(self):
+        rng = np.random.default_rng(6011)
+        for _ in range(12):
+            model = _random_model(rng)
+            p = float(10.0 ** rng.uniform(math.log10(1e-4), math.log10(0.5)))
+            n = int(rng.integers(2, 501))
+            r_max = int(rng.integers(1, 21))
+            outcomes = pool_outcomes(model, n, p, model.kit.sp, r_max)
+            for r in sorted({1, r_max, int(rng.integers(1, r_max + 1))}):
+                for name, want in _loop_outcomes(model, p, n, r).items():
+                    np.testing.assert_allclose(
+                        getattr(outcomes, name)[r], want, rtol=1e-12, atol=1e-15,
+                        err_msg=f"{name} at p={p}, n={n}, r={r}",
+                    )
+
+    def test_every_r_of_one_kernel_call_matches_single_r(self):
+        """The sweep's path (one pool_outcomes per (p, n), read at each r)
+        against one evaluation per configuration."""
+        rng = np.random.default_rng(6007)
+        for _ in range(25):
+            model = _random_model(rng)
+            p = float(10.0 ** rng.uniform(math.log10(1e-4), math.log10(0.5)))
+            n = int(rng.integers(2, 501))
+            r_max = int(rng.integers(1, 21))
+            outcomes = pool_outcomes(model, n, p, model.kit.sp, r_max)
+            _assert_metrics_close(
+                eval_dorfman(model, p, n, outcomes), eval_dorfman(model, p, n), (p, n, 1)
+            )
+            for r in range(1, r_max + 1):
+                _assert_metrics_close(
+                    eval_modified(model, p, n, r, outcomes),
+                    eval_modified(model, p, n, r),
+                    (p, n, r),
+                )
+
+    def test_mismatched_outcomes_are_rejected(self):
+        model = bateman_fit_model()
+        outcomes = pool_outcomes(model, 10, 0.01, model.kit.sp, 3)
+        for args in ((0.01, 11, 2), (0.02, 10, 2), (0.01, 10, 4)):
+            with pytest.raises(ValueError, match="pool outcomes do not cover"):
+                eval_modified(model, *args, outcomes)
+        other_kit = DilutionModel(kit=TestKit(se_i=0.99, sp=0.95))
+        with pytest.raises(ValueError, match="pool outcomes do not cover"):
+            eval_dorfman(other_kit, 0.01, 10, outcomes)
+
+
 class TestLemmas:
     """Order relations among the procedures, sampled across the sweep box."""
 
@@ -249,3 +355,44 @@ class TestPosteriors:
     def test_positive_pool_raises_suspicion(self):
         model = bateman_fit_model()
         assert posterior_given_positive_pool(model, 0.01, 10, 1) > 0.01
+
+    def test_in_range_or_undefined_across_the_domain(self):
+        """Either a probability or ValueError, never a crash or a value past 1,
+        from the smallest to the largest pools and prevalences."""
+        models = (
+            bateman_fit_model(),
+            DilutionModel(kit=TestKit(se_i=1.0, sp=1.0)),
+            bateman_fit_model(TestKit(se_i=0.01, sp=0.01)),
+        )
+        defined = 0
+        for model in models:
+            for p in (1e-6, 0.5, 0.9, 1.0 - 1e-9):
+                for n in (2, 50, 5000, 10000):
+                    for r in (1, 100):
+                        for posterior in (
+                            posterior_given_negative_pool,
+                            posterior_given_positive_pool,
+                        ):
+                            try:
+                                value = posterior(model, p, n, r)
+                            except ValueError as exc:
+                                assert "is 0 in double precision" in str(exc)
+                                continue
+                            assert 0.0 <= value <= 1.0, (posterior.__name__, p, n, r)
+                            defined += 1
+        assert defined > 100
+
+    def test_rounding_never_lifts_a_posterior_past_one(self):
+        """p times the missed share is at most P(declared negative) term by
+        term, but with a curve rising as the positive share falls and p next to
+        1 their float ratio lands one ulp above 1 unless capped."""
+        rising = DilutionModel(kit=TestKit(se_i=1.0, sp=1.0), alpha=-1.0, beta=-0.01)
+        assert posterior_given_negative_pool(rising, 1.0 - 1e-12, 2, 1) <= 1.0
+
+    def test_undefined_outcomes_raise(self):
+        model = bateman_fit_model()
+        with pytest.raises(ValueError, match="declared positive"):
+            posterior_given_positive_pool(model, 0.5, 5000)
+        perfect = DilutionModel(kit=TestKit(se_i=1.0, sp=1.0))
+        with pytest.raises(ValueError, match="declared negative"):
+            posterior_given_negative_pool(perfect, 0.9, 10000)

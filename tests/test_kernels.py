@@ -13,7 +13,13 @@ from pooltest import (
     pool_sensitivity_avg,
     pool_test_outcome_probs,
 )
-from pooltest.kernels import check_pool_size, check_prevalence, check_retest_count
+from pooltest.kernels import (
+    check_pool_size,
+    check_prevalence,
+    check_retest_count,
+    pool_outcomes,
+    sensitivity_row,
+)
 
 from _oracles import (
     exact_binomial_pmf,
@@ -183,6 +189,70 @@ class TestPoolTestOutcomeProbs:
     def test_rejects_zero_reads(self):
         with pytest.raises(ValueError, match="retest count"):
             pool_test_outcome_probs(_ConstantModel(1.0), 5, 0.1, 0.99, 0)
+
+
+class TestPoolOutcomes:
+    def test_every_probability_is_its_own_nonnegative_sum(self):
+        """At n = 5000, p = 0.5 the stock curve reads 0 for every k, so a pool
+        is (almost) never declared positive; forming that chance as one minus
+        its complement would leave a tiny negative number."""
+        model = bateman_fit_model()
+        outcomes = pool_outcomes(model, 5000, 0.5, model.kit.sp, 3)
+        for name in ("p_declared_pos", "p_declared_neg", "detected_share", "missed_share"):
+            values = getattr(outcomes, name)
+            assert np.all((values >= 0.0) & (values <= 1.0)), name
+        assert np.all(outcomes.detected_share == 0.0)
+        np.testing.assert_allclose(outcomes.missed_share, 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, p, r", [(1000, 0.3, 1), (1000, 0.3, 5), (2, 0.01, 100)])
+    def test_rounding_never_lifts_a_probability_past_one(self, n, p, r):
+        """Summed in floating point, P(declared negative) at (1000, 0.3) and the
+        detected share at (2, 0.01, r = 100) land one ulp above 1; the kernel
+        caps them."""
+        model = bateman_fit_model()
+        out = pool_outcomes(model, n, p, model.kit.sp, r)
+        for name in ("p_declared_pos", "p_declared_neg", "detected_share", "missed_share"):
+            assert getattr(out, name)[r] <= 1.0, name
+
+    def test_pairs_are_complementary(self):
+        model = bateman_fit_model()
+        rng = np.random.default_rng(812)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            p = float(rng.uniform(0.001, 0.5))
+            out = pool_outcomes(model, n, p, 0.97, 12)
+            np.testing.assert_allclose(out.p_declared_pos + out.p_declared_neg, 1.0, atol=1e-12)
+            if n > 1:
+                np.testing.assert_allclose(out.detected_share + out.missed_share, 1.0, atol=1e-12)
+
+    def test_no_reads_and_read_counts(self):
+        """Entry 0 is the unread pool; extra reads accumulate the chance that
+        every earlier read was negative."""
+        model = bateman_fit_model()
+        out = pool_outcomes(model, 8, 0.05, 0.99, 6)
+        assert out.p_declared_pos[0] == 0.0
+        assert out.detected_share[0] == 0.0
+        assert out.extra_reads[0] == out.extra_reads[1] == 0.0
+        for r in range(2, 7):
+            expected = sum(
+                pool_test_outcome_probs(model, 8, 0.05, 0.99, j)[1] for j in range(1, r)
+            )
+            np.testing.assert_allclose(out.extra_reads[r], expected, rtol=1e-13)
+
+    def test_sensitivity_row_follows_the_model(self):
+        model = bateman_fit_model()
+        row = sensitivity_row(model, 7)
+        assert row.tolist() == [model.sensitivity(7, k) for k in range(1, 8)]
+        assert sensitivity_row(_ConstantModel(0.5), 3).tolist() == [0.5, 0.5, 0.5]
+
+    def test_domain_errors(self):
+        model = bateman_fit_model()
+        with pytest.raises(ValueError, match="sp must lie"):
+            pool_outcomes(model, 5, 0.1, 0.0, 2)
+        with pytest.raises(ValueError, match="retest count"):
+            pool_outcomes(model, 5, 0.1, 0.99, 0)
+        with pytest.raises(ValueError, match="prevalence"):
+            pool_outcomes(model, 5, 1.0, 0.99, 2)
 
 
 class TestValidators:

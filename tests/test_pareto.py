@@ -10,6 +10,7 @@ from pooltest import (
     ProcedureConfig,
     SweepSpec,
     eval_individual,
+    evaluate,
     bateman_fit_model,
     fp_summary,
     min_tests_under_fn_cap,
@@ -106,6 +107,33 @@ class TestSweep:
         expected = brute_force_front(objectives)
         got = {i for i, pt in enumerate(small_sweep) if not pt.dominated_joint}
         assert got == expected
+
+    def test_default_grid_matches_point_by_point_evaluation(self):
+        """The sweep serves every r of a pool size from one kernel call; each
+        point must equal its own evaluation, and the dominance flags must be
+        the brute-force fronts of those evaluations."""
+        model = bateman_fit_model()
+        points = sweep(SweepSpec())
+        assert len(points) == 2214
+        for p in SweepSpec().p_values:
+            at_p = [pt for pt in points if pt.p == p]
+            single = [evaluate(model, p, pt.config) for pt in at_p]
+            for pt, metrics in zip(at_p, single):
+                for name in (
+                    "e_tests", "e_fn", "e_fp",
+                    "e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage",
+                ):
+                    np.testing.assert_allclose(
+                        getattr(pt.metrics, name), getattr(metrics, name),
+                        rtol=1e-12, atol=1e-15, err_msg=f"{name} at {p}, {pt.config}",
+                    )
+            objectives = [(m.e_tests, m.e_fn) for m in single]
+            joint = {i for i, pt in enumerate(at_p) if not pt.dominated_joint}
+            assert joint == brute_force_front(objectives)
+            for kind in Procedure:
+                idx = [i for i, pt in enumerate(at_p) if pt.kind is kind]
+                front = brute_force_front([objectives[i] for i in idx])
+                assert {idx[j] for j in front} == {i for i in idx if not at_p[i].dominated}
 
     def test_joint_front_prefers_retesting_on_misses(self, small_sweep):
         """Any single-read pooled point is matched or beaten on false
