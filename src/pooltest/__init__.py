@@ -21,7 +21,6 @@ from .dilution import (
     bateman_fit_model,
     fit_dilution_model,
     load_observations,
-    repeated_specificity,
 )
 from .evaluate import (
     Metrics,
@@ -34,13 +33,7 @@ from .evaluate import (
     posterior_given_negative_pool,
     posterior_given_positive_pool,
 )
-from .kernels import (
-    binomial_pmf,
-    binomial_pmf_row,
-    pool_positive_prob,
-    pool_sensitivity_avg,
-    pool_test_outcome_probs,
-)
+from .kernels import pool_test_outcome_probs
 from .pareto import (
     DEFAULT_SWEEP_PREVALENCES,
     FN_INCREASE_CAPS,
@@ -48,7 +41,6 @@ from .pareto import (
     SweepSpec,
     fp_summary,
     min_tests_under_fn_cap,
-    pareto_filter,
     read_sweep_csv,
     sweep,
     write_sweep_csv,
@@ -84,8 +76,6 @@ __all__ = [
     "TestKit",
     "VerificationRow",
     "bateman_fit_model",
-    "binomial_pmf",
-    "binomial_pmf_row",
     "eval_dorfman",
     "eval_individual",
     "eval_modified",
@@ -94,14 +84,10 @@ __all__ = [
     "fp_summary",
     "load_observations",
     "min_tests_under_fn_cap",
-    "pareto_filter",
-    "pool_positive_prob",
-    "pool_sensitivity_avg",
     "pool_test_outcome_probs",
     "posterior_given_negative_pool",
     "posterior_given_positive_pool",
     "read_sweep_csv",
-    "repeated_specificity",
     "simulate",
     "sweep",
     "verify_against_analytic",

@@ -46,6 +46,7 @@ from .pareto import (
     DEFAULT_SWEEP_PREVALENCES,
     FN_INCREASE_CAPS,
     SweepSpec,
+    _fmt,
     fp_summary,
     min_tests_under_fn_cap,
     read_sweep_csv,
@@ -93,10 +94,6 @@ class _Artifacts:
         if exc_type is not None:
             for target in self.written:
                 target.unlink(missing_ok=True)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser, *, coefficients: bool = True) -> None:

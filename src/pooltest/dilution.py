@@ -11,21 +11,19 @@ size n. Both choices carry a variant switch: ratio can be flipped to n/k and
 the linear term can be driven by k instead of n, because both printed forms
 circulate and the variants keep them reachable. At n = k = 1 the default
 curve reduces to Se_I plus beta, i.e. essentially the individual test kit.
-
-Repeating a negative pool test up to r times overall turns Se into
-1 - (1 - Se)^r and Sp into Sp^r; those aggregates live here too.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from scipy import optimize
 
-from .kernels import check_pool_size, check_retest_count
+from .kernels import check_pool_size
 
 __all__ = [
     "RATIO_K_OVER_N",
@@ -38,7 +36,6 @@ __all__ = [
     "SensitivityObservation",
     "BATEMAN_POOL_SENSITIVITIES",
     "bateman_fit_model",
-    "repeated_specificity",
     "FitResult",
     "FitConvergenceError",
     "fit_dilution_model",
@@ -100,6 +97,8 @@ class DilutionModel:
             )
         for name in ("alpha", "beta"):
             value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
     def raw_sensitivity(self, n: int, k: int) -> float:
@@ -121,21 +120,6 @@ class DilutionModel:
         """True when the raw curve leaves [0, 1] at (n, k) and clamping bites."""
         raw = self.raw_sensitivity(n, k)
         return raw < 0.0 or raw > 1.0
-
-    def repeated_sensitivity(self, n: int, k: int, r: int) -> float:
-        """Detection probability 1 - (1 - Se(n,k))^r across up to r pool tests."""
-        r = check_retest_count(r)
-        se = self.sensitivity(n, k)
-        return 1.0 - (1.0 - se) ** r
-
-
-def repeated_specificity(sp: float, r: int) -> float:
-    """Probability Sp^r that a clean pool stays negative through r tests."""
-    sp = float(sp)
-    if not 0.0 < sp <= 1.0:
-        raise ValueError(f"sp must lie in (0, 1], got {sp!r}")
-    r = check_retest_count(r)
-    return sp**r
 
 
 @dataclass(frozen=True)
@@ -210,7 +194,6 @@ def fit_dilution_model(
     observations: Sequence[SensitivityObservation],
     kit: TestKit = DEFAULT_KIT,
     *,
-    start: tuple[float, float] = (0.05, 0.0),
     ratio_orientation: str = RATIO_K_OVER_N,
     linear_term: str = LINEAR_POOL_SIZE,
 ) -> FitResult:
@@ -238,7 +221,7 @@ def fit_dilution_model(
 
     result = optimize.minimize(
         objective,
-        x0=list(start),
+        x0=[0.05, 0.0],
         method="Nelder-Mead",
         options=dict(xatol=1e-10, fatol=1e-14, maxiter=100_000, maxfev=100_000),
     )

@@ -1,6 +1,6 @@
 """Probability kernels shared by the analytic evaluators, the sweep and the simulator.
 
-Beside the input validators and a few scalar helpers, the module holds one
+Beside the input validators and the binomial pmf row, the module holds one
 vectorised pool kernel, pool_outcomes. For a sensitivity model, pool size n
 and prevalence p it returns every pool-read probability the closed forms
 need, for each read budget r = 0..r_max at once. It builds the read
@@ -11,7 +11,7 @@ sum of nonnegative terms, never one minus another, so a missed share near
 1e-18 or a declared-positive chance that underflows to 0 keeps its digits.
 
 The binomial pmf is delegated to scipy, whose implementation keeps the
-row-sum error near machine epsilon even for very large n; a naive
+row-sum error near the unit roundoff even for very large n; a naive
 exp(lgamma) construction loses two digits by n = 10**4. Its per-call
 overhead dominates at small n, which is why the kernel asks for two rows per
 (n, p) and serves every r from them.
@@ -26,10 +26,7 @@ import numpy as np
 from scipy import stats
 
 __all__ = [
-    "binomial_pmf",
     "binomial_pmf_row",
-    "pool_positive_prob",
-    "pool_sensitivity_avg",
     "pool_test_outcome_probs",
     "PoolOutcomes",
     "pool_outcomes",
@@ -81,27 +78,6 @@ def check_retest_count(r: int, *, minimum: int = 1) -> int:
     return r
 
 
-def binomial_pmf(k: int, n: int, p: float) -> float:
-    """P(K = k) for K ~ Binomial(n, p).
-
-    Exact at the support edges (p = 0 or 1). Raises ValueError for k outside
-    0..n rather than returning 0, because every caller in this package
-    enumerates the support explicitly and an out-of-range k is a bug.
-    """
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if k != int(k) or not 0 <= k <= n:
-        raise ValueError(f"k must be an integer in [0, {n}], got {k!r}")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    return float(stats.binom.pmf(k, n, p))
-
-
 def binomial_pmf_row(n: int, p: float) -> np.ndarray:
     """The whole pmf row [P(K=0), ..., P(K=n)] for K ~ Binomial(n, p)."""
     if n != int(n) or n < 0:
@@ -109,52 +85,16 @@ def binomial_pmf_row(n: int, p: float) -> np.ndarray:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    k = np.arange(n + 1)
     if p == 0.0 or p == 1.0:
         row = np.zeros(n + 1)
         row[n if p == 1.0 else 0] = 1.0
         return row
-    return stats.binom.pmf(k, n, p)
-
-
-def pool_positive_prob(p: float, n: int) -> float:
-    """Probability 1 - (1-p)^n that a pool of n subjects contains a positive.
-
-    Computed as -expm1(n log1p(-p)) so tiny p at large n keeps full relative
-    precision; n = 1 short-circuits to p itself so the identity P_pool = p is
-    exact rather than round-tripped through logs. Unlike prevalence proper,
-    p = 0 and p = 1 are legal here and give the obvious limits.
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    n = check_pool_size(n)
-    if n == 1:
-        return p
-    if p == 0.0 or p == 1.0:
-        return p
-    return -math.expm1(n * math.log1p(-p))
+    return stats.binom.pmf(np.arange(n + 1), n, p)
 
 
 def sensitivity_row(model: SensitivityModel, n: int) -> np.ndarray:
     """[Se(n,1), ..., Se(n,n)], the one loop over k: models only promise a scalar Se."""
     return np.array([model.sensitivity(n, k) for k in range(1, n + 1)])
-
-
-def pool_sensitivity_avg(model: SensitivityModel, n: int, p: float) -> float:
-    """Average pool sensitivity over the positive-count distribution.
-
-    Se_P = sum_{k=1..n} Se(n,k) Pr(k; n, p) / P(pool contains a positive),
-    i.e. the detection probability of a pool known to contain at least one
-    positive. k = 0 carries no sensitivity, only specificity, so the sum
-    starts at 1 and the weights are renormalized by p_P.
-    """
-    n = check_pool_size(n)
-    p = check_prevalence(p)
-    p_pos = pool_positive_prob(p, n)
-    if p_pos == 0.0:
-        raise ValueError(f"pool-positive probability is zero at p={p}, n={n}")
-    return float(sensitivity_row(model, n) @ binomial_pmf_row(n, p)[1:] / p_pos)
 
 
 class PoolOutcomes(NamedTuple):

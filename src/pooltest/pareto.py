@@ -35,7 +35,6 @@ __all__ = [
     "SweepSpec",
     "ParetoPoint",
     "sweep",
-    "pareto_filter",
     "min_tests_under_fn_cap",
     "fp_summary",
     "SWEEP_CSV_COLUMNS",
@@ -108,34 +107,16 @@ class ParetoPoint:
         return self.config.kind
 
 
-def _non_dominated_indices(
-    objectives: Sequence[tuple[float, float]], epsilon: float = 0.0
-) -> set[int]:
+def _non_dominated_indices(objectives: Sequence[tuple[float, float]]) -> set[int]:
     """Indices not dominated on two minimized objectives.
 
     A point is dominated by another that is no worse in both coordinates and
     strictly better in at least one; exact ties in both survive together.
-    The exact case runs as a single sorted scan. epsilon > 0 loosens "no
-    worse" and tightens "strictly better" by epsilon, blurring near-ties;
-    that variant has no prefix structure, so it falls back to pairwise.
+    One sorted scan: a point survives when its second objective is the least
+    among points sharing its first, and below that of every point with a
+    smaller first.
     """
-    if epsilon < 0.0 or not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     m = len(objectives)
-    if epsilon > 0.0:
-        survivors = set()
-        for i, (ti, fi) in enumerate(objectives):
-            dominated = any(
-                tq <= ti + epsilon
-                and fq <= fi + epsilon
-                and (tq < ti - epsilon or fq < fi - epsilon)
-                for j, (tq, fq) in enumerate(objectives)
-                if j != i
-            )
-            if not dominated:
-                survivors.add(i)
-        return survivors
-
     order = sorted(range(m), key=lambda i: objectives[i])
     survivors = set()
     best_fn_before = math.inf
@@ -215,34 +196,6 @@ def sweep(spec: SweepSpec) -> tuple[ParetoPoint, ...]:
             )
     points.sort(key=lambda pt: (pt.p, _KIND_ORDER[pt.kind], pt.config.n, pt.config.r))
     return tuple(points)
-
-
-def pareto_filter(
-    points: Iterable[ParetoPoint], epsilon: float = 0.0
-) -> list[ParetoPoint]:
-    """The non-dominated subset of the given points on (e_tests, e_fn).
-
-    All points must share one prevalence; fronts across different p values
-    are meaningless. Returns points ordered by ascending e_tests.
-    """
-    points = list(points)
-    if not points:
-        return []
-    if len({pt.p for pt in points}) > 1:
-        raise ValueError("cannot filter points with mixed prevalences")
-    objectives = [(pt.metrics.e_tests, pt.metrics.e_fn) for pt in points]
-    kept = _non_dominated_indices(objectives, epsilon=epsilon)
-    front = [points[i] for i in kept]
-    front.sort(
-        key=lambda pt: (
-            pt.metrics.e_tests,
-            pt.metrics.e_fn,
-            _KIND_ORDER[pt.kind],
-            pt.config.n,
-            pt.config.r,
-        )
-    )
-    return front
 
 
 def min_tests_under_fn_cap(

@@ -15,7 +15,7 @@ integer addition, the outcome is identical for any thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,16 +76,7 @@ class SimResult:
     false_negatives: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "subjects",
-            "tests",
-            "pool_tests",
-            "individual_tests",
-            "true_positives",
-            "false_positives",
-            "true_negatives",
-            "false_negatives",
-        ):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if value != int(value) or int(value) < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
@@ -221,12 +212,7 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda job: job(), jobs))
 
-    pool_tests = sum(part[0] for part in parts)
-    individual_tests = sum(part[1] for part in parts)
-    tp = sum(part[2] for part in parts)
-    fp = sum(part[3] for part in parts)
-    tn = sum(part[4] for part in parts)
-    fn = sum(part[5] for part in parts)
+    pool_tests, individual_tests, tp, fp, tn, fn = (sum(column) for column in zip(*parts))
     return SimResult(
         subjects=config.subjects,
         tests=pool_tests + individual_tests,
@@ -266,8 +252,16 @@ def default_verification_configs(
         ProcedureConfig(Procedure.DORFMAN, n=10),
         ProcedureConfig(Procedure.MODIFIED, n=10, r=3),
     )
+    prevalences = (0.001, 0.01, 0.1)
+    # Config (i, j) runs on seed + 10 i + j; the last of them must fit in 64 bits too.
+    top = 10 * (len(prevalences) - 1) + len(shapes) - 1
+    if not 0 <= seed < _MAX_SEED - top:
+        raise ValueError(
+            f"base seed must lie in [0, {_MAX_SEED - top - 1}] so that the derived "
+            f"seeds up to seed + {top} fit in 64 bits, got {seed!r}"
+        )
     configs = []
-    for i, p in enumerate((0.001, 0.01, 0.1)):
+    for i, p in enumerate(prevalences):
         for j, shape in enumerate(shapes):
             configs.append(
                 SimConfig(
@@ -290,8 +284,7 @@ def verify_against_analytic(
     if not configs:
         raise ValueError("need at least one config to verify")
 
-    relative: dict[tuple[Procedure, str], list[float]] = {}
-    absolute: dict[tuple[Procedure, str], list[float]] = {}
+    errors: dict[tuple[str, Procedure, str], list[float]] = {}
     for config in configs:
         result = simulate(config, threads=threads)
         analytic: Metrics = evaluate(config.model, config.p, config.procedure)
@@ -301,36 +294,24 @@ def verify_against_analytic(
             ("e_fp", result.fp_per_subject, analytic.e_fp),
         )
         for metric, observed, expected in pairs:
-            key = (config.procedure.kind, metric)
             if expected == 0.0:
-                absolute.setdefault(key, []).append(abs(observed - expected))
+                mode, error = "absolute-mean", abs(observed)
             else:
-                err = (observed - expected) / expected
-                relative.setdefault(key, []).append(err * err)
+                rel = (observed - expected) / expected
+                mode, error = "relative-mse", rel * rel
+            errors.setdefault((mode, config.procedure.kind, metric), []).append(error)
 
-    rows = []
-    for (kind, metric), errors in sorted(
-        relative.items(), key=lambda item: (item[0][0].value, item[0][1])
-    ):
-        rows.append(
-            VerificationRow(
-                kind=kind,
-                metric=metric,
-                mode="relative-mse",
-                value=float(np.mean(errors)),
-                configs=len(errors),
-            )
+    # Relative rows first, then by procedure name and metric.
+    return tuple(
+        VerificationRow(
+            kind=kind,
+            metric=metric,
+            mode=mode,
+            value=float(np.mean(values)),
+            configs=len(values),
         )
-    for (kind, metric), errors in sorted(
-        absolute.items(), key=lambda item: (item[0][0].value, item[0][1])
-    ):
-        rows.append(
-            VerificationRow(
-                kind=kind,
-                metric=metric,
-                mode="absolute-mean",
-                value=float(np.mean(errors)),
-                configs=len(errors),
-            )
+        for (mode, kind, metric), values in sorted(
+            errors.items(),
+            key=lambda item: (item[0][0] != "relative-mse", item[0][1].value, item[0][2]),
         )
-    return tuple(rows)
+    )

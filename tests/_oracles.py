@@ -91,7 +91,7 @@ def enumerate_pooled_metrics(model, p: float, n: int, r: int) -> dict[str, float
     }
 
 
-def brute_force_front(objectives, epsilon: float = 0.0) -> set[int]:
+def brute_force_front(objectives) -> set[int]:
     """Indices of non-dominated points on two minimized objectives, O(m^2)."""
     survivors = set()
     for i, (ai, bi) in enumerate(objectives):
@@ -99,8 +99,8 @@ def brute_force_front(objectives, epsilon: float = 0.0) -> set[int]:
         for j, (aj, bj) in enumerate(objectives):
             if i == j:
                 continue
-            no_worse = aj <= ai + epsilon and bj <= bi + epsilon
-            strictly_better = aj < ai - epsilon or bj < bi - epsilon
+            no_worse = aj <= ai and bj <= bi
+            strictly_better = aj < ai or bj < bi
             if no_worse and strictly_better:
                 dominated = True
                 break

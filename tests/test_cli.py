@@ -69,6 +69,18 @@ class TestEvaluateCommand:
         assert "pooltest: error: P(pool declared positive) is 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_non_finite_coefficient_exits_one(self, capsys, flag):
+        """A NaN coefficient would clamp Se to 0 and report e_fn = p."""
+        code = main([
+            "evaluate", "--kind", "modified", "--n", "2", "--r", "100", "--p", "0.5",
+            flag, "nan",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"pooltest: error: {flag[2:]} must be finite, got nan" in captured.err
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["evaluate", "--kind", "dorfman", "--n", "8", "--p", "0.02", "--bogus"]) == 1
         capsys.readouterr()
@@ -176,6 +188,15 @@ class TestVerifyCommand:
         assert len(csv_lines) == 10
         record = (tmp_path / "verify-run.txt").read_text()
         assert "subjects = 4000" in record
+
+    def test_seed_without_room_for_derived_seeds_names_the_given_seed(self, capsys):
+        """The nine configs run on seed .. seed + 22, so the largest base seed
+        is 2**64 - 23; the error quotes the seed that was passed."""
+        given = str(2**64 - 1)
+        assert main(["verify", "--subjects", "100", "--seed", given]) == 1
+        err = capsys.readouterr().err
+        assert f"got {given}" in err
+        assert str(2**64) not in err
 
 
 class TestTablesCommand:

@@ -14,7 +14,6 @@ from pooltest import (
     bateman_fit_model,
     fit_dilution_model,
     load_observations,
-    repeated_specificity,
 )
 from pooltest.dilution import (
     LINEAR_POSITIVES,
@@ -86,15 +85,6 @@ class TestDilutionModel:
             k = int(rng.integers(1, n + 1))
             assert 0.0 <= model.sensitivity(n, k) <= 1.0
 
-    def test_repeated_sensitivity(self):
-        model = bateman_fit_model()
-        se = model.sensitivity(10, 1)
-        np.testing.assert_allclose(
-            model.repeated_sensitivity(10, 1, 3), 1.0 - (1.0 - se) ** 3, rtol=1e-15
-        )
-        assert model.repeated_sensitivity(10, 1, 1) == se
-        assert model.repeated_sensitivity(10, 1, 4) >= model.repeated_sensitivity(10, 1, 2)
-
     def test_domain_validation(self):
         model = bateman_fit_model()
         with pytest.raises(ValueError, match="k must be"):
@@ -105,18 +95,11 @@ class TestDilutionModel:
             DilutionModel(ratio_orientation="sideways")
         with pytest.raises(ValueError, match="linear_term"):
             DilutionModel(linear_term="quadratic")
-
-
-class TestRepeatedSpecificity:
-    def test_power_law(self):
-        assert repeated_specificity(0.99, 1) == 0.99
-        np.testing.assert_allclose(repeated_specificity(0.99, 3), 0.99**3, rtol=1e-15)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="sp"):
-            repeated_specificity(0.0, 2)
-        with pytest.raises(ValueError, match="retest count"):
-            repeated_specificity(0.99, 0)
+        # A NaN coefficient would clamp every Se to 0 without a word.
+        for name in ("alpha", "beta"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    DilutionModel(**{name: value})
 
 
 class TestObservations:

@@ -1,19 +1,14 @@
 """Probability kernel checks against exact rational arithmetic."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pooltest import (
-    bateman_fit_model,
-    binomial_pmf,
-    binomial_pmf_row,
-    pool_positive_prob,
-    pool_sensitivity_avg,
-    pool_test_outcome_probs,
-)
+from pooltest import bateman_fit_model, pool_test_outcome_probs
 from pooltest.kernels import (
+    binomial_pmf_row,
     check_pool_size,
     check_prevalence,
     check_retest_count,
@@ -36,29 +31,41 @@ class _ConstantModel:
         return self.value
 
 
+def _single_read_positive(model, n: int, p: float, sp: float = 1.0) -> float:
+    """P(pool declared positive) after one read, from the vectorised kernel."""
+    return float(pool_outcomes(model, n, p, sp, 1).p_declared_pos[1])
+
+
+def _exact_row(n: int, p: Fraction) -> list[float]:
+    return [float(exact_binomial_pmf(k, n, p)) for k in range(n + 1)]
+
+
 class TestBinomialPmf:
     def test_degenerate_p_zero(self):
-        assert binomial_pmf(0, 5, 0.0) == 1.0
-        assert binomial_pmf(3, 5, 0.0) == 0.0
+        assert binomial_pmf_row(5, 0.0).tolist() == _exact_row(5, Fraction(0))
+        assert binomial_pmf_row(0, 0.0).tolist() == [1.0]
+
+    def test_degenerate_p_one(self):
+        assert binomial_pmf_row(5, 1.0).tolist() == _exact_row(5, Fraction(1))
+        assert binomial_pmf_row(0, 1.0).tolist() == [1.0]
 
     def test_symmetric_coin(self):
-        assert binomial_pmf(2, 2, 0.5) == 0.25
+        row = binomial_pmf_row(2, 0.5)
+        assert row[2] == 0.25
+        np.testing.assert_allclose(row, [0.25, 0.5, 0.25], rtol=1e-15)
 
     def test_against_exact_rational_value(self):
         """10 * 0.001 * 0.999^9, evaluated without floating point."""
         exact = exact_binomial_pmf(1, 10, Fraction(1, 1000))
-        np.testing.assert_allclose(binomial_pmf(1, 10, 0.001), float(exact), rtol=1e-13)
+        np.testing.assert_allclose(binomial_pmf_row(10, 0.001)[1], float(exact), rtol=1e-13)
 
     def test_random_values_match_exact_pmf(self):
         rng = np.random.default_rng(1851)
         for _ in range(200):
             n = int(rng.integers(1, 80))
-            k = int(rng.integers(0, n + 1))
             num = int(rng.integers(1, 1000))
-            p = Fraction(num, 1000)
-            exact = exact_binomial_pmf(k, n, p)
             np.testing.assert_allclose(
-                binomial_pmf(k, n, num / 1000), float(exact), rtol=1e-12
+                binomial_pmf_row(n, num / 1000), _exact_row(n, Fraction(num, 1000)), rtol=1e-12
             )
 
     def test_row_sums_to_one_even_for_huge_n(self):
@@ -75,64 +82,81 @@ class TestBinomialPmf:
             assert abs(row.sum() - 1.0) <= 1e-12
 
     def test_row_matches_scalar_entries(self):
+        """Entry k of the row is the pmf at k, taken one k at a time."""
         row = binomial_pmf_row(12, 0.2)
+        assert len(row) == 13
         for k in range(13):
-            assert row[k] == binomial_pmf(k, 12, 0.2)
+            exact = exact_binomial_pmf(k, 12, Fraction(1, 5))
+            np.testing.assert_allclose(row[k], float(exact), rtol=1e-13)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="k must be"):
-            binomial_pmf(6, 5, 0.5)
-        with pytest.raises(ValueError, match="k must be"):
-            binomial_pmf(-1, 5, 0.5)
-        with pytest.raises(ValueError, match="p must lie"):
-            binomial_pmf(1, 5, 1.5)
         with pytest.raises(ValueError, match="n must be"):
             binomial_pmf_row(-2, 0.5)
+        with pytest.raises(ValueError, match="n must be"):
+            binomial_pmf_row(2.5, 0.5)
+        with pytest.raises(ValueError, match="p must lie"):
+            binomial_pmf_row(5, 1.5)
+        with pytest.raises(ValueError, match="p must lie"):
+            binomial_pmf_row(5, -0.1)
 
 
 class TestPoolPositiveProb:
+    """1 - (1-p)^n: with a perfect kit, one read declares a pool positive
+    exactly when it holds a positive."""
+
     def test_single_subject_is_exact(self):
-        assert pool_positive_prob(0.5, 1) == 0.5
-        assert pool_positive_prob(0.001, 1) == 0.001
+        assert _single_read_positive(_ConstantModel(1.0), 1, 0.5) == 0.5
+        assert _single_read_positive(_ConstantModel(1.0), 1, 0.001) == 0.001
 
     def test_zero_prevalence(self):
-        assert pool_positive_prob(0.0, 50) == 0.0
+        """p = 0 lies outside the kernel's domain rather than giving 0."""
+        with pytest.raises(ValueError, match="prevalence"):
+            pool_outcomes(_ConstantModel(1.0), 50, 0.0, 1.0, 1)
 
     def test_against_exact_rational_value(self):
         exact = exact_pool_positive_prob(Fraction(1, 1000), 10)
-        np.testing.assert_allclose(pool_positive_prob(0.001, 10), float(exact), rtol=1e-14)
+        np.testing.assert_allclose(
+            _single_read_positive(_ConstantModel(1.0), 10, 0.001), float(exact), rtol=1e-14
+        )
 
     def test_monotone_in_both_arguments(self):
+        """Up to the rounding of a sum over k, which near 1 is a few ulps."""
+        perfect = _ConstantModel(1.0)
         rng = np.random.default_rng(7)
         for _ in range(100):
             p = float(rng.uniform(0.0005, 0.5))
             n = int(rng.integers(1, 60))
-            assert pool_positive_prob(p, n + 1) >= pool_positive_prob(p, n)
-            assert pool_positive_prob(min(1.0, p * 1.5), n) >= pool_positive_prob(p, n)
+            base = _single_read_positive(perfect, n, p) - 1e-14
+            assert _single_read_positive(perfect, n + 1, p) >= base
+            assert _single_read_positive(perfect, n, p * 1.5) >= base
 
     def test_rejects_zero_pool(self):
         with pytest.raises(ValueError, match="pool size"):
-            pool_positive_prob(0.5, 0)
+            pool_outcomes(_ConstantModel(1.0), 0, 0.5, 1.0, 1)
 
 
 class TestPoolSensitivityAvg:
+    """Se_P = sum_k Se(n,k) Pr(k; n, p) / p_P, the detection chance of a pool
+    known to hold a positive. With no false positives (sp = 1) one read
+    declares a pool positive with probability Se_P p_P."""
+
+    @staticmethod
+    def _average(model, n: int, p: float) -> float:
+        return _single_read_positive(model, n, p) / -math.expm1(n * math.log1p(-p))
+
     def test_perfect_test(self):
-        np.testing.assert_allclose(
-            pool_sensitivity_avg(_ConstantModel(1.0), 10, 0.01), 1.0, rtol=1e-14
-        )
+        np.testing.assert_allclose(self._average(_ConstantModel(1.0), 10, 0.01), 1.0, rtol=1e-14)
 
     def test_single_subject_returns_curve_value(self):
         model = bateman_fit_model()
         np.testing.assert_allclose(
-            pool_sensitivity_avg(model, 1, 0.37), model.sensitivity(1, 1), rtol=1e-14
+            self._average(model, 1, 0.37), model.sensitivity(1, 1), rtol=1e-14
         )
 
     def test_against_exact_weighted_average(self):
         model = bateman_fit_model()
         exact = exact_pool_sensitivity_avg(model, 10, Fraction(1, 100))
-        np.testing.assert_allclose(
-            pool_sensitivity_avg(model, 10, 0.01), float(exact), rtol=1e-12
-        )
+        np.testing.assert_allclose(self._average(model, 10, 0.01), float(exact), rtol=1e-12)
 
     def test_stays_within_sensitivity_range(self):
         model = bateman_fit_model()
@@ -140,16 +164,17 @@ class TestPoolSensitivityAvg:
         for _ in range(50):
             n = int(rng.integers(2, 51))
             p = float(rng.uniform(0.001, 0.3))
-            values = [model.sensitivity(n, k) for k in range(1, n + 1)]
-            avg = pool_sensitivity_avg(model, n, p)
-            assert min(values) - 1e-12 <= avg <= max(values) + 1e-12
+            values = sensitivity_row(model, n)
+            avg = self._average(model, n, p)
+            assert values.min() - 1e-12 <= avg <= values.max() + 1e-12
 
 
 class TestPoolTestOutcomeProbs:
     def test_perfect_test_reduces_to_pool_positive_prob(self):
         pos, neg = pool_test_outcome_probs(_ConstantModel(1.0), 5, 0.1, 1.0, 1)
-        np.testing.assert_allclose(pos, pool_positive_prob(0.1, 5), rtol=1e-13)
-        np.testing.assert_allclose(neg, 1.0 - pool_positive_prob(0.1, 5), rtol=1e-13)
+        exact = exact_pool_positive_prob(Fraction(1, 10), 5)
+        np.testing.assert_allclose(pos, float(exact), rtol=1e-13)
+        np.testing.assert_allclose(neg, float(1 - exact), rtol=1e-13)
 
     def test_single_read_matches_average_form(self):
         """For r=1 the declared-positive probability is the classic mixture
@@ -157,9 +182,12 @@ class TestPoolTestOutcomeProbs:
         model = bateman_fit_model()
         n, p, sp = 10, 0.01, 0.99
         pos, _ = pool_test_outcome_probs(model, n, p, sp, 1)
-        p_pos = pool_positive_prob(p, n)
-        mixture = pool_sensitivity_avg(model, n, p) * p_pos + (1 - sp) * (1 - p_pos)
-        np.testing.assert_allclose(pos, mixture, rtol=1e-12)
+        exact_p = Fraction(1, 100)
+        p_pos = exact_pool_positive_prob(exact_p, n)
+        mixture = exact_pool_sensitivity_avg(model, n, exact_p) * p_pos + (
+            1 - Fraction(sp)
+        ) * (1 - p_pos)
+        np.testing.assert_allclose(pos, float(mixture), rtol=1e-12)
 
     def test_components_form_a_distribution(self):
         model = bateman_fit_model()

@@ -14,11 +14,11 @@ from pooltest import (
     bateman_fit_model,
     fp_summary,
     min_tests_under_fn_cap,
-    pareto_filter,
     read_sweep_csv,
     sweep,
     write_sweep_csv,
 )
+from pooltest.pareto import _non_dominated_indices
 
 from _oracles import brute_force_front
 
@@ -151,48 +151,28 @@ class TestParetoFilter:
             count = int(rng.integers(1, 60))
             # integer grid forces plenty of exact ties
             values = rng.integers(0, 8, size=(count, 2)).astype(float)
-            points = [_point(0.01, 1.0 + t, f, n=5, r=2) for t, f in values]
-            front = pareto_filter(points)
-            expected = brute_force_front([(pt.metrics.e_tests, pt.metrics.e_fn) for pt in points])
-            got = {id(pt) for pt in front}
-            want = {id(points[i]) for i in expected}
-            assert got == want
+            objectives = [(1.0 + t, f) for t, f in values]
+            assert _non_dominated_indices(objectives) == brute_force_front(objectives)
 
     def test_ties_on_both_objectives_survive_together(self):
-        a = _point(0.01, 1.5, 0.2, n=4)
-        b = _point(0.01, 1.5, 0.2, n=6)
-        c = _point(0.01, 1.5, 0.3, n=8)
-        front = pareto_filter([a, b, c])
-        assert a in front and b in front and c not in front
+        assert _non_dominated_indices([(1.5, 0.2), (1.5, 0.2), (1.5, 0.3)]) == {0, 1}
 
     def test_front_trades_tests_for_misses(self, small_sweep):
         """Sorted by cost, distinct front points must strictly improve on
         false negatives."""
-        modified = [pt for pt in small_sweep if pt.kind is Procedure.MODIFIED]
-        front = pareto_filter(modified)
-        seen = []
-        for pt in front:
-            if seen and pt.metrics.e_tests > seen[-1][0]:
-                assert pt.metrics.e_fn < seen[-1][1]
-            seen.append((pt.metrics.e_tests, pt.metrics.e_fn))
-
-    def test_epsilon_variant_matches_brute_force(self):
-        rng = np.random.default_rng(778)
-        for epsilon in (0.5, 1.0):
-            values = rng.integers(0, 10, size=(40, 2)).astype(float)
-            points = [_point(0.01, 1.0 + t, f) for t, f in values]
-            front = pareto_filter(points, epsilon=epsilon)
-            expected = brute_force_front(
-                [(pt.metrics.e_tests, pt.metrics.e_fn) for pt in points], epsilon=epsilon
-            )
-            assert {id(pt) for pt in front} == {id(points[i]) for i in expected}
-
-    def test_rejects_mixed_prevalences(self):
-        with pytest.raises(ValueError, match="mixed prevalences"):
-            pareto_filter([_point(0.01, 1.0, 0.1), _point(0.02, 1.0, 0.1)])
+        objectives = [
+            (pt.metrics.e_tests, pt.metrics.e_fn)
+            for pt in small_sweep
+            if pt.kind is Procedure.MODIFIED
+        ]
+        front = sorted(objectives[i] for i in _non_dominated_indices(objectives))
+        assert len(front) > 1
+        for (cheaper_tests, cheaper_fn), (tests, fn) in zip(front, front[1:]):
+            if tests > cheaper_tests:
+                assert fn < cheaper_fn
 
     def test_empty_input(self):
-        assert pareto_filter([]) == []
+        assert _non_dominated_indices([]) == set()
 
 
 class TestMinTestsUnderCap:

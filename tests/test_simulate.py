@@ -155,6 +155,23 @@ class TestVerification:
         assert modes["e_fp"] == "absolute-mean"
         assert modes["e_tests"] == "relative-mse"
 
+    def test_rows_put_relative_before_absolute(self):
+        """A perfect kit makes every e_fn and e_fp zero, so both modes appear."""
+        model = DilutionModel(kit=TestKit(se_i=1.0, sp=1.0), alpha=0.0, beta=0.0)
+        rows = verify_against_analytic(default_verification_configs(model, subjects=2_000))
+        keys = [(row.mode != "relative-mse", row.kind.value, row.metric) for row in rows]
+        assert keys == sorted(keys)
+        assert {row.mode for row in rows} == {"relative-mse", "absolute-mean"}
+        assert len(rows) == 9
+
+    def test_base_seed_leaves_room_for_derived_seeds(self):
+        model = bateman_fit_model()
+        top = 2**64 - 23
+        assert default_verification_configs(model, subjects=10, seed=top)[-1].seed == 2**64 - 1
+        for bad in (top + 1, 2**64 - 1, -1):
+            with pytest.raises(ValueError, match=f"got {bad}$"):
+                default_verification_configs(model, subjects=10, seed=bad)
+
     def test_requires_configs(self):
         with pytest.raises(ValueError, match="at least one"):
             verify_against_analytic([])
