@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: output text, exit codes, artifacts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pooltest.cli as cli
-from pooltest import FitConvergenceError, read_sweep_csv
+from pooltest import FitConvergenceError, __version__, read_sweep_csv
 from pooltest.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _parse_pairs(text):
@@ -244,3 +248,48 @@ class TestTopLevel:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+class TestGoldenOutputs:
+    """Every file a command writes, run record included, pinned byte for byte.
+
+    Each case runs in a fresh directory holding obs.csv (the built-in fit
+    points) and sweep/ (a sweep of SMALL_GRID); "<tmp>" in an argument or a
+    golden file stands for that directory, and "<version>" for the package
+    version. tests/golden/<case>/ holds exactly the files the case writes.
+    """
+
+    SMALL_GRID = ["--p", "0.02", "--p", "0.005", "--n-min", "2", "--n-max", "4", "--r-min", "2", "--r-max", "3"]
+    CASES = {
+        "evaluate-modified": ["evaluate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.01"],
+        "evaluate-individual": ["evaluate", "--kind", "individual", "--p", "0.05"],
+        "evaluate-variant": [
+            "evaluate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.01",
+            "--linear-term", "positives", "--ratio-orientation", "n-over-k", "--sp", "1",
+        ],
+        "simulate-short-final-pool": [
+            "simulate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.05",
+            "--subjects", "1003", "--seed", "5", "--threads", "2",
+        ],
+        "sweep": ["sweep", *SMALL_GRID],
+        "fit-builtin": ["fit"],
+        "fit-data": ["fit", "--fit-data", "<tmp>/obs.csv"],
+        "verify": ["verify", "--subjects", "2000", "--seed", "7"],
+        "tables-in-memory": ["tables", *SMALL_GRID],
+        "tables-from-csv": ["tables", "--sweep-csv", "<tmp>/sweep/sweep.csv"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_files_match_golden(self, capsys, tmp_path, case):
+        (tmp_path / "obs.csv").write_text("n,k,se\n1,1,0.99\n5,1,0.93\n10,1,0.91\n50,1,0.81\n")
+        assert main(["sweep", *self.SMALL_GRID, "--out", str(tmp_path / "sweep")]) == 0
+        argv = [arg.replace("<tmp>", str(tmp_path)) for arg in self.CASES[case]]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        expected = GOLDEN / case
+        assert sorted(f.name for f in out.iterdir()) == sorted(f.name for f in expected.iterdir())
+        for golden in expected.iterdir():
+            text = (out / golden.name).read_text()
+            text = text.replace(str(tmp_path), "<tmp>").replace(f"pooltest {__version__}\n", "pooltest <version>\n")
+            assert text == golden.read_text(), golden.name
