@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -56,6 +57,7 @@ from .pareto import (
 from .simulate import (
     DESK_SCALE_SUBJECTS,
     SimConfig,
+    SimResult,
     default_verification_configs,
     simulate,
     verify_against_analytic,
@@ -144,31 +146,46 @@ def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, required=True, help="prevalence")
 
 
-def _model_record_pairs(args: argparse.Namespace) -> list[tuple[str, str]]:
-    return [
-        ("alpha", _fmt(args.alpha)),
-        ("beta", _fmt(args.beta)),
-        ("linear_term", args.linear_term),
-        ("ratio_orientation", args.ratio_orientation),
-        ("se_i", _fmt(args.se_i)),
-        ("sp", _fmt(args.sp)),
-    ]
+# Parsed flags that are no input to the result, and the model flags, which
+# close every record in this order.
+_UNRECORDED = frozenset({"command", "handler", "out", "sweep_csv"})
+_MODEL_KEYS = ("alpha", "beta", "linear_term", "ratio_orientation", "se_i", "sp")
 
 
-def _sweep_record_pairs(args: argparse.Namespace, p_values) -> list[tuple[str, str]]:
-    return [
-        ("n_max", str(args.n_max)),
-        ("n_min", str(args.n_min)),
-        ("p_values", ",".join(_fmt(p) for p in p_values)),
-        ("r_max", str(args.r_max)),
-        ("r_min", str(args.r_min)),
-    ] + _model_record_pairs(args)
+def _record_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_record_value, value))
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
-def _write_record(artifacts: _Artifacts, command: str, pairs: list[tuple[str, str]]) -> None:
-    lines = [f"tool = pooltest {__version__}", f"command = {command}"]
+def _record_pairs(args: argparse.Namespace, **resolved) -> list[tuple[str, str]]:
+    """Every parsed flag but the unrecorded ones: the command's own sorted by
+    name, then the model flags. resolved adds what the flags do not hold
+    directly; its p_values replaces --p."""
+    values = {key: value for key, value in vars(args).items() if key not in _UNRECORDED}
+    if "p_values" in resolved:
+        del values["p"]
+    values.update(resolved)
+    keys = sorted(key for key in values if key not in _MODEL_KEYS)
+    keys += [key for key in _MODEL_KEYS if key in values]
+    return [(key, _record_value(values[key])) for key in keys]
+
+
+def _write_record(artifacts: _Artifacts, args: argparse.Namespace, pairs: list[tuple[str, str]]) -> None:
+    lines = [f"tool = pooltest {__version__}", f"command = {args.command}"]
     lines += [f"{key} = {value}" for key, value in pairs]
-    artifacts.path(f"{command}-run.txt").write_text("\n".join(lines) + "\n")
+    artifacts.path(f"{args.command}-run.txt").write_text("\n".join(lines) + "\n")
+
+
+def _emit(args: argparse.Namespace, lines: list[str], **resolved) -> int:
+    """Print the result lines; with --out, also write them and the run record."""
+    text = "\n".join(lines)
+    print(text)
+    if args.out:
+        with _Artifacts(args.out) as artifacts:
+            artifacts.path(f"{args.command}-result.txt").write_text(text + "\n")
+            _write_record(artifacts, args, _record_pairs(args, **resolved))
+    return 0
 
 
 def _metrics_lines(metrics: Metrics) -> list[str]:
@@ -194,22 +211,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "posterior_given_positive_pool = "
             + _fmt(posterior_given_positive_pool(model, args.p, config.n, config.r))
         )
-    print("\n".join(lines))
-    if args.out:
-        with _Artifacts(args.out) as artifacts:
-            artifacts.path("evaluate-result.txt").write_text("\n".join(lines) + "\n")
-            _write_record(
-                artifacts,
-                "evaluate",
-                [
-                    ("kind", config.kind.value),
-                    ("n", str(config.n)),
-                    ("p", _fmt(args.p)),
-                    ("r", str(config.r)),
-                ]
-                + _model_record_pairs(args),
-            )
-    return 0
+    return _emit(args, lines)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -222,38 +224,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         p=args.p,
     )
     result = simulate(config, threads=args.threads)
-    lines = [
-        f"subjects = {result.subjects}",
-        f"tests = {result.tests}",
-        f"pool_tests = {result.pool_tests}",
-        f"individual_tests = {result.individual_tests}",
-        f"true_positives = {result.true_positives}",
-        f"false_positives = {result.false_positives}",
-        f"true_negatives = {result.true_negatives}",
-        f"false_negatives = {result.false_negatives}",
-        f"tests_per_subject = {_fmt(result.tests_per_subject)}",
-        f"fn_per_subject = {_fmt(result.fn_per_subject)}",
-        f"fp_per_subject = {_fmt(result.fp_per_subject)}",
-    ]
-    print("\n".join(lines))
-    if args.out:
-        with _Artifacts(args.out) as artifacts:
-            artifacts.path("simulate-result.txt").write_text("\n".join(lines) + "\n")
-            _write_record(
-                artifacts,
-                "simulate",
-                [
-                    ("kind", args.kind),
-                    ("n", str(args.n)),
-                    ("p", _fmt(args.p)),
-                    ("r", str(args.r)),
-                    ("seed", str(args.seed)),
-                    ("subjects", str(args.subjects)),
-                    ("threads", str(args.threads)),
-                ]
-                + _model_record_pairs(args),
-            )
-    return 0
+    names = [field.name for field in fields(SimResult)] + ["tests_per_subject", "fn_per_subject", "fp_per_subject"]
+    return _emit(args, [f"{name} = {_record_value(getattr(result, name))}" for name in names])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -261,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = sweep(spec)
     with _Artifacts(args.out) as artifacts:
         write_sweep_csv(points, artifacts.path("sweep.csv"))
-        _write_record(artifacts, "sweep", _sweep_record_pairs(args, spec.p_values))
+        _write_record(artifacts, args, _record_pairs(args, p_values=spec.p_values))
     print(f"wrote {len(points)} points to {artifacts.out_dir / 'sweep.csv'}")
     return 0
 
@@ -287,22 +259,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"iterations = {result.iterations}",
         f"observations = {len(observations)}",
     ]
-    print("\n".join(lines))
-    if args.out:
-        with _Artifacts(args.out) as artifacts:
-            artifacts.path("fit-result.txt").write_text("\n".join(lines) + "\n")
-            _write_record(
-                artifacts,
-                "fit",
-                [
-                    ("fit_data", source),
-                    ("linear_term", args.linear_term),
-                    ("ratio_orientation", args.ratio_orientation),
-                    ("se_i", _fmt(args.se_i)),
-                    ("sp", _fmt(args.sp)),
-                ],
-            )
-    return 0
+    return _emit(args, lines, fit_data=source)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -323,16 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     writer.writerow(
                         [row.kind.value, row.metric, row.mode, _fmt(row.value), row.configs]
                     )
-            _write_record(
-                artifacts,
-                "verify",
-                [
-                    ("seed", str(args.seed)),
-                    ("subjects", str(args.subjects)),
-                    ("threads", str(args.threads)),
-                ]
-                + _model_record_pairs(args),
-            )
+            _write_record(artifacts, args, _record_pairs(args))
     return 0
 
 
@@ -363,10 +311,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                 writer.writerow(
                     [_fmt(p)] + [_fmt(summary[kind]) if kind in summary else "" for kind in Procedure]
                 )
-        record_pairs = [("source", str(args.sweep_csv) if args.sweep_csv else "sweep")]
-        if not args.sweep_csv:
-            record_pairs += _sweep_record_pairs(args, p_values)
-        _write_record(artifacts, "tables", record_pairs)
+        # A persisted sweep carries its own inputs in its run record.
+        pairs = [] if args.sweep_csv else _record_pairs(args, p_values=p_values)
+        _write_record(artifacts, args, [("source", args.sweep_csv or "sweep")] + pairs)
     print(f"wrote tables for {len(p_values)} prevalences to {artifacts.out_dir}")
     return 0
 

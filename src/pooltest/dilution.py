@@ -102,15 +102,19 @@ class DilutionModel:
             object.__setattr__(self, name, value)
 
     def raw_sensitivity(self, n: int, k: int) -> float:
-        """The curve value before clamping, for 1 <= k <= n."""
+        """The curve value before clamping, for 1 <= k <= n; +-inf where ratio**alpha overflows."""
         n = check_pool_size(n)
         if k != int(k) or not 1 <= int(k) <= n:
             raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
         k = int(k)
         ratio = k / n if self.ratio_orientation == RATIO_K_OVER_N else n / k
         size = n if self.linear_term == LINEAR_POOL_SIZE else k
-        kit = self.kit
-        return (1.0 - kit.sp) + (kit.se_i + kit.sp - 1.0) * ratio**self.alpha + self.beta * size
+        coefficient = self.kit.se_i + self.kit.sp - 1.0
+        try:  # a zero coefficient adds no power term, even where the power overflows
+            dilution = coefficient * ratio**self.alpha if coefficient else 0.0
+        except OverflowError:  # Se then clamps to the bound the coefficient's sign points at
+            dilution = math.copysign(math.inf, coefficient)
+        return (1.0 - self.kit.sp) + dilution + self.beta * size
 
     def sensitivity(self, n: int, k: int) -> float:
         """Se(n, k), clamped into [0, 1]."""

@@ -27,7 +27,7 @@ from .evaluate import (
     eval_individual,
     eval_modified,
 )
-from .kernels import MAX_POOL_SIZE, MAX_RETESTS, check_prevalence, pool_outcomes
+from .kernels import check_pool_size, check_prevalence, check_retest_count, pool_outcomes
 
 __all__ = [
     "DEFAULT_SWEEP_PREVALENCES",
@@ -62,14 +62,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         values = tuple(check_prevalence(p) for p in self.p_values)
         object.__setattr__(self, "p_values", values)
-        lo, hi = (int(v) for v in self.n_range)
-        if not 2 <= lo <= hi <= MAX_POOL_SIZE:
-            raise ValueError(f"n_range must satisfy 2 <= lo <= hi <= {MAX_POOL_SIZE}, got {self.n_range!r}")
-        object.__setattr__(self, "n_range", (lo, hi))
-        lo, hi = (int(v) for v in self.r_range)
-        if not 1 <= lo <= hi <= MAX_RETESTS:
-            raise ValueError(f"r_range must satisfy 1 <= lo <= hi <= {MAX_RETESTS}, got {self.r_range!r}")
-        object.__setattr__(self, "r_range", (lo, hi))
+        for name, check, minimum in (("n_range", check_pool_size, 2), ("r_range", check_retest_count, 1)):
+            try:
+                lo, hi = (check(v, minimum=minimum) for v in getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+            if lo > hi:
+                raise ValueError(f"{name} must satisfy lo <= hi, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, (lo, hi))
 
 
 @dataclass(frozen=True)

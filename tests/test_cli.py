@@ -73,6 +73,13 @@ class TestEvaluateCommand:
         assert "pooltest: error: P(pool declared positive) is 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kit", [[], ["--se-i", "0.5", "--sp", "0.5"]])
+    def test_overflowing_alpha_exits_cleanly(self, capsys, kit):
+        """(k/n)**-1000 overflows a float; the curve clamps instead of raising."""
+        code = main(["evaluate", "--kind", "dorfman", "--n", "10", "--p", "0.01", "--alpha", "-1000", *kit])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
     def test_non_finite_coefficient_exits_one(self, capsys, flag):
         """A NaN coefficient would clamp Se to 0 and report e_fn = p."""

@@ -1,5 +1,7 @@
 """Dilution curve behavior, variant switches, and the least-squares fit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,25 @@ class TestDilutionModel:
         assert model.sensitivity(30, 1) == 0.0
         assert model.is_clamped(30, 1)
         assert not model.is_clamped(2, 1)
+
+    @pytest.mark.parametrize("alpha, orientation", [(-1000.0, "k-over-n"), (1000.0, "n-over-k")])
+    def test_overflowing_power_clamps(self, alpha, orientation):
+        """ratio**alpha overflows a float for k < n: Se is then the bound the
+        curve runs to, never an OverflowError. At k = n the ratio is 1."""
+        model = DilutionModel(kit=DEFAULT_KIT, alpha=alpha, beta=-0.001, ratio_orientation=orientation)
+        assert model.raw_sensitivity(10, 1) == math.inf
+        assert model.sensitivity(10, 1) == 1.0 and model.is_clamped(10, 1)
+        assert model.sensitivity(10, 10) == pytest.approx(0.99 - 0.01)
+        below = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=alpha, ratio_orientation=orientation)
+        assert below.raw_sensitivity(10, 1) == -math.inf
+        assert below.sensitivity(10, 1) == 0.0
+
+    def test_zero_coefficient_adds_no_power_term(self):
+        """se_i + sp = 1 leaves Se = 1 - sp + beta * size, even where the power overflows."""
+        for se_i, sp in ((0.5, 0.5), (0.25, 0.75)):
+            model = DilutionModel(kit=TestKit(se_i=se_i, sp=sp), alpha=-1000.0, beta=-0.001)
+            for k in (1, 5, 10):
+                assert model.raw_sensitivity(10, k) == pytest.approx(1.0 - sp - 0.01)
 
     def test_sensitivity_always_a_probability(self):
         rng = np.random.default_rng(321)

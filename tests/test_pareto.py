@@ -63,6 +63,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="r_range"):
             SweepSpec(r_range=(3, 2))
 
+    @pytest.mark.parametrize("ranges, name", [
+        (dict(n_range=(2.7, 4.9)), "n_range"),
+        (dict(r_range=(2.5, 3.2)), "r_range"),
+        (dict(n_range=(2, 10_001)), "n_range"),
+        (dict(r_range=(0, 3)), "r_range"),
+    ])
+    def test_ranges_are_validated_not_truncated(self, ranges, name):
+        """A fractional bound used to be cut to (2, 4) / (2, 3) silently."""
+        with pytest.raises(ValueError, match=name):
+            SweepSpec(**ranges)
+
+    def test_integral_float_bounds_become_ints(self):
+        spec = SweepSpec(n_range=(2.0, 4.0), r_range=(1.0, 3.0))
+        assert spec.n_range == (2, 4) and spec.r_range == (1, 3)
+        assert all(type(v) is int for v in spec.n_range + spec.r_range)
+
 
 class TestSweep:
     def test_point_count_and_order(self, small_sweep):
