@@ -23,7 +23,7 @@ from typing import Sequence
 
 from scipy import optimize
 
-from .kernels import check_pool_size
+from .kernels import check_pool_size, is_whole
 
 __all__ = [
     "RATIO_K_OVER_N",
@@ -102,9 +102,9 @@ class DilutionModel:
             object.__setattr__(self, name, value)
 
     def raw_sensitivity(self, n: int, k: int) -> float:
-        """The curve value before clamping, for 1 <= k <= n; +-inf where ratio**alpha overflows."""
+        """The curve value before clamping, for 1 <= k <= n; +-inf where a term overflows."""
         n = check_pool_size(n)
-        if k != int(k) or not 1 <= int(k) <= n:
+        if not is_whole(k) or not 1 <= int(k) <= n:
             raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
         k = int(k)
         ratio = k / n if self.ratio_orientation == RATIO_K_OVER_N else n / k
@@ -114,7 +114,13 @@ class DilutionModel:
             dilution = coefficient * ratio**self.alpha if coefficient else 0.0
         except OverflowError:  # Se then clamps to the bound the coefficient's sign points at
             dilution = math.copysign(math.inf, coefficient)
-        return (1.0 - self.kit.sp) + dilution + self.beta * size
+        linear = self.beta * size
+        if math.isinf(dilution) and math.isinf(linear) and dilution != linear:
+            # Both terms overflowed, to opposite infinities: the larger magnitude wins.
+            dilution_log = math.log(abs(coefficient)) + self.alpha * math.log(ratio)
+            linear_log = math.log(abs(self.beta)) + math.log(size)
+            return dilution if dilution_log > linear_log else linear
+        return (1.0 - self.kit.sp) + dilution + linear
 
     def sensitivity(self, n: int, k: int) -> float:
         """Se(n, k), clamped into [0, 1]."""
@@ -137,7 +143,7 @@ class SensitivityObservation:
     def __post_init__(self) -> None:
         n = check_pool_size(self.n)
         object.__setattr__(self, "n", n)
-        if self.k != int(self.k) or not 1 <= int(self.k) <= n:
+        if not is_whole(self.k) or not 1 <= int(self.k) <= n:
             raise ValueError(f"k must be an integer in [1, {n}], got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
         se = float(self.se_observed)

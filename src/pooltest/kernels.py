@@ -35,6 +35,7 @@ __all__ = [
     "check_prevalence",
     "check_pool_size",
     "check_retest_count",
+    "is_whole",
 ]
 
 
@@ -58,9 +59,17 @@ def check_prevalence(p: float) -> float:
     return p
 
 
+def is_whole(value) -> bool:
+    """True when value equals an int; inf and nan are not, and do not raise."""
+    try:
+        return value == int(value)
+    except (OverflowError, ValueError):
+        return False
+
+
 def check_pool_size(n: int, *, minimum: int = 1) -> int:
     """Validate a pool size, returning it as an int."""
-    if n != int(n):
+    if not is_whole(n):
         raise ValueError(f"pool size must be an integer, got {n!r}")
     n = int(n)
     if not minimum <= n <= MAX_POOL_SIZE:
@@ -70,7 +79,7 @@ def check_pool_size(n: int, *, minimum: int = 1) -> int:
 
 def check_retest_count(r: int, *, minimum: int = 1) -> int:
     """Validate a total pool-test count, returning it as an int."""
-    if r != int(r):
+    if not is_whole(r):
         raise ValueError(f"retest count must be an integer, got {r!r}")
     r = int(r)
     if not minimum <= r <= MAX_RETESTS:
@@ -80,7 +89,7 @@ def check_retest_count(r: int, *, minimum: int = 1) -> int:
 
 def binomial_pmf_row(n: int, p: float) -> np.ndarray:
     """The whole pmf row [P(K=0), ..., P(K=n)] for K ~ Binomial(n, p)."""
-    if n != int(n) or n < 0:
+    if not is_whole(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     p = float(p)
     if not 0.0 <= p <= 1.0:

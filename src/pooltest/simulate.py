@@ -4,24 +4,40 @@ Subjects are grouped into consecutive pools of n; the leftover subjects at
 the end form one final short pool of their actual size, with sensitivity
 evaluated at that size. Work is split into fixed-size chunks of whole pools,
 and every chunk draws from its own counter-based stream seeded by
-(seed, chunk_index). Within a chunk the draw order is fixed: subject
-statuses first, then r pool reads per pool, then n individual reads per
-pool, all consumed whether or not the procedure needed them. Decisions such
-as early-stopped retests are applied logically on top of the pre-drawn
-values. Because chunk streams are independent and results are reduced by
-integer addition, the outcome is identical for any thread count.
+(seed, chunk_index). Because chunk streams are independent and results are
+reduced by integer addition, the outcome is identical for any thread count.
+
+simulate() runs one of two engines over the same chunks and streams; within
+a chunk each has a fixed draw order.
+
+- The count engine, the default, draws per pool. A pool chunk draws the
+  positive count k ~ Binomial(n, p) of every pool, then r pool reads per
+  pool against Se(n, k), then, for the pools declared positive only,
+  TP ~ Binomial(k, Se_I) and FP ~ Binomial(n - k, 1 - Sp) per pool. FN is
+  the chunk's positives less TP, and TN the rest. An individual chunk makes
+  three draws: its positives ~ Binomial(count, p), then TP and FP as above.
+- The per-subject engine (per_subject=True), the reference that verify
+  runs, draws per subject: subject statuses first, then r pool reads per
+  pool, then one individual read per subject, all consumed whether or not
+  the procedure needed them. Its draws do not follow the closed forms'
+  binomial decomposition, which is what makes verify an independent check.
+
+Both engines draw all r pool reads and apply early-stopped retests
+logically on top of them: a pool declared positive used the reads up to its
+first positive one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .dilution import DilutionModel
 from .evaluate import Metrics, Procedure, ProcedureConfig, evaluate
-from .kernels import check_prevalence, sensitivity_row
+from .kernels import check_prevalence, is_whole, sensitivity_row
 
 __all__ = [
     "DESK_SCALE_SUBJECTS",
@@ -53,10 +69,10 @@ class SimConfig:
     p: float
 
     def __post_init__(self) -> None:
-        if self.subjects != int(self.subjects) or int(self.subjects) < 1:
+        if not is_whole(self.subjects) or int(self.subjects) < 1:
             raise ValueError(f"subjects must be a positive integer, got {self.subjects!r}")
         object.__setattr__(self, "subjects", int(self.subjects))
-        if self.seed != int(self.seed) or not 0 <= int(self.seed) < _MAX_SEED:
+        if not is_whole(self.seed) or not 0 <= int(self.seed) < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "p", check_prevalence(self.p))
@@ -78,7 +94,7 @@ class SimResult:
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            if value != int(value) or int(value) < 0:
+            if not is_whole(value) or int(value) < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.tests != self.pool_tests + self.individual_tests:
@@ -121,7 +137,8 @@ def _sensitivity_row(model: DilutionModel, n: int) -> np.ndarray:
     return np.concatenate(([1.0 - model.kit.sp], sensitivity_row(model, n)))
 
 
-def _run_individual_chunk(config: SimConfig, start: int, count: int, chunk_index: int):
+def _run_individual_chunk(config: SimConfig, count: int, chunk_index: int):
+    """Per-subject reference: a status and a read for each of `count` subjects."""
     rng = _chunk_rng(config.seed, chunk_index)
     kit = config.model.kit
     status = rng.random(count) < config.p
@@ -134,6 +151,28 @@ def _run_individual_chunk(config: SimConfig, start: int, count: int, chunk_index
     return 0, count, tp, fp, tn, fn
 
 
+def _count_individual_chunk(config: SimConfig, count: int, chunk_index: int):
+    """`count` subjects tested once each, in three binomial draws."""
+    rng = _chunk_rng(config.seed, chunk_index)
+    kit = config.model.kit
+    positives = int(rng.binomial(count, config.p))
+    tp = int(rng.binomial(positives, kit.se_i))
+    fp = int(rng.binomial(count - positives, 1.0 - kit.sp))
+    return 0, count, tp, fp, count - positives - fp, positives - tp
+
+
+def _read_pools(rng: np.random.Generator, read_prob: np.ndarray, r: int):
+    """Draw r reads per pool: (declared positive per pool, pool reads used)."""
+    pools = len(read_prob)
+    read_positive = rng.random((pools, r)) < read_prob[:, None]
+    # argmax finds the first positive read, or read 0 in a pool with none.
+    first_positive = read_positive.argmax(axis=1)
+    declared_positive = read_positive[np.arange(pools), first_positive]
+    # Early stop: reads after the first positive never happen, so a declared
+    # positive pool used argmax+1 reads and a negative pool used all r.
+    return declared_positive, int(np.where(declared_positive, first_positive + 1, r).sum())
+
+
 def _run_pool_chunk(
     config: SimConfig,
     pools: int,
@@ -141,22 +180,14 @@ def _run_pool_chunk(
     se_row: np.ndarray,
     chunk_index: int,
 ):
-    """Simulate `pools` pools of `pool_size`, one chunk, one stream."""
+    """Per-subject reference: `pools` pools of `pool_size`, one chunk, one stream."""
     rng = _chunk_rng(config.seed, chunk_index)
     kit = config.model.kit
-    r = config.procedure.r
 
     status = rng.random((pools, pool_size)) < config.p
-    k = status.sum(axis=1)
-    read_prob = se_row[k]
-
-    pool_reads = rng.random((pools, r))
-    read_positive = pool_reads < read_prob[:, None]
-    declared_positive = read_positive.any(axis=1)
-    # Early stop: reads after the first positive never happen, so a declared
-    # positive pool used argmax+1 reads and a negative pool used all r.
-    first_positive = read_positive.argmax(axis=1)
-    pool_tests = int(np.where(declared_positive, first_positive + 1, r).sum())
+    declared_positive, pool_tests = _read_pools(
+        rng, se_row[status.sum(axis=1)], config.procedure.r
+    )
 
     individual_reads = rng.random((pools, pool_size))
     read_hit = individual_reads < np.where(status, kit.se_i, 1.0 - kit.sp)
@@ -170,21 +201,49 @@ def _run_pool_chunk(
     return pool_tests, individual_tests, tp, fp, tn, fn
 
 
-def simulate(config: SimConfig, threads: int = 1) -> SimResult:
-    """Run one simulation; identical config gives identical result at any thread count."""
-    if threads != int(threads) or not 1 <= int(threads) <= 64:
+def _count_pool_chunk(
+    config: SimConfig,
+    pools: int,
+    pool_size: int,
+    se_row: np.ndarray,
+    chunk_index: int,
+):
+    """`pools` pools of `pool_size` from per-pool counts, one chunk, one stream."""
+    rng = _chunk_rng(config.seed, chunk_index)
+    kit = config.model.kit
+
+    k = rng.binomial(pool_size, config.p, size=pools)
+    declared_positive, pool_tests = _read_pools(rng, se_row[k], config.procedure.r)
+
+    # Only subjects of pools declared positive are read individually.
+    k_tested = k[declared_positive]
+    tp = int(rng.binomial(k_tested, kit.se_i).sum())
+    fp = int(rng.binomial(pool_size - k_tested, 1.0 - kit.sp).sum())
+    positives = int(k.sum())
+    tn = pools * pool_size - positives - fp
+    return pool_tests, pool_size * len(k_tested), tp, fp, tn, positives - tp
+
+
+def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) -> SimResult:
+    """Run one simulation; identical config gives identical result at any thread count.
+
+    per_subject=True runs the per-subject reference engine in place of the
+    count engine; the two give different counts for the same seed.
+    """
+    if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
     threads = int(threads)
+    individual_chunk, pool_chunk = (
+        (_run_individual_chunk, _run_pool_chunk)
+        if per_subject
+        else (_count_individual_chunk, _count_pool_chunk)
+    )
 
     if config.procedure.kind is Procedure.INDIVIDUAL:
         chunk = _CHUNK_SUBJECT_TARGET
-        spans = [
-            (start, min(chunk, config.subjects - start))
-            for start in range(0, config.subjects, chunk)
-        ]
         jobs = [
-            (lambda ci=ci, s=s, c=c: _run_individual_chunk(config, s, c, ci))
-            for ci, (s, c) in enumerate(spans)
+            partial(individual_chunk, config, min(chunk, config.subjects - start), ci)
+            for ci, start in enumerate(range(0, config.subjects, chunk))
         ]
     else:
         n = config.procedure.n
@@ -192,19 +251,13 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
         remainder = config.subjects % n
         pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n)
         se_row = _sensitivity_row(config.model, n)
-        jobs = []
-        chunk_index = 0
-        for start in range(0, full_pools, pools_per_chunk):
-            m = min(pools_per_chunk, full_pools - start)
-            jobs.append(
-                lambda ci=chunk_index, m=m: _run_pool_chunk(config, m, n, se_row, ci)
-            )
-            chunk_index += 1
+        jobs = [
+            partial(pool_chunk, config, min(pools_per_chunk, full_pools - start), n, se_row, ci)
+            for ci, start in enumerate(range(0, full_pools, pools_per_chunk))
+        ]
         if remainder:
             short_row = _sensitivity_row(config.model, remainder)
-            jobs.append(
-                lambda ci=chunk_index: _run_pool_chunk(config, 1, remainder, short_row, ci)
-            )
+            jobs.append(partial(pool_chunk, config, 1, remainder, short_row, len(jobs)))
 
     if threads == 1:
         parts = [job() for job in jobs]
@@ -279,14 +332,18 @@ def verify_against_analytic(
     configs: tuple[SimConfig, ...] | list[SimConfig],
     threads: int = 1,
 ) -> tuple[VerificationRow, ...]:
-    """Simulate every config and compare per-subject rates to the closed forms."""
+    """Simulate every config and compare per-subject rates to the closed forms.
+
+    The simulations run the per-subject reference engine, whose draws are
+    independent of the binomial decomposition the closed forms are built on.
+    """
     configs = tuple(configs)
     if not configs:
         raise ValueError("need at least one config to verify")
 
     errors: dict[tuple[str, Procedure, str], list[float]] = {}
     for config in configs:
-        result = simulate(config, threads=threads)
+        result = simulate(config, threads=threads, per_subject=True)
         analytic: Metrics = evaluate(config.model, config.p, config.procedure)
         pairs = (
             ("e_tests", result.tests_per_subject, analytic.e_tests),

@@ -87,6 +87,26 @@ class TestDilutionModel:
         assert below.raw_sensitivity(10, 1) == -math.inf
         assert below.sensitivity(10, 1) == 0.0
 
+    def test_opposite_overflows_clamp_to_the_larger_term(self):
+        """Where the power term and beta * size overflow to opposite infinities,
+        Se is the bound of the term with the larger magnitude, never NaN."""
+        kit = TestKit(se_i=0.3, sp=0.3)
+        # -0.4 * 10**1000 against 10**309: the power term wins, Se clamps to 0.
+        model = DilutionModel(kit=kit, alpha=-1000.0, beta=1e308)
+        assert model.raw_sensitivity(10, 1) == -math.inf
+        assert model.is_clamped(10, 1) and model.sensitivity(10, 1) == 0.0
+        # -0.4 * 10**300 alone does not overflow, so nothing cancels: Se clamps to 1.
+        model = DilutionModel(kit=kit, alpha=-300.0, beta=1e308)
+        assert model.raw_sensitivity(10, 1) == math.inf
+        assert model.is_clamped(10, 1) and model.sensitivity(10, 1) == 1.0
+        # 0.98 * 10**310 against -1e308 * n: the power term wins at n = 10 and
+        # the linear term at n = 10,000, with the same ratio of 0.1.
+        model = DilutionModel(kit=DEFAULT_KIT, alpha=-310.0, beta=-1e308)
+        assert model.raw_sensitivity(10, 1) == math.inf
+        assert model.sensitivity(10, 1) == 1.0
+        assert model.raw_sensitivity(10_000, 1_000) == -math.inf
+        assert model.is_clamped(10_000, 1_000) and model.sensitivity(10_000, 1_000) == 0.0
+
     def test_zero_coefficient_adds_no_power_term(self):
         """se_i + sp = 1 leaves Se = 1 - sp + beta * size, even where the power overflows."""
         for se_i, sp in ((0.5, 0.5), (0.25, 0.75)):
@@ -112,6 +132,11 @@ class TestDilutionModel:
             model.sensitivity(5, 0)
         with pytest.raises(ValueError, match="k must be"):
             model.sensitivity(5, 6)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="k must be"):
+                model.sensitivity(5, bad)
+            with pytest.raises(ValueError, match="pool size"):
+                model.sensitivity(bad, 1)
         with pytest.raises(ValueError, match="ratio_orientation"):
             DilutionModel(ratio_orientation="sideways")
         with pytest.raises(ValueError, match="linear_term"):

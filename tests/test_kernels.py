@@ -283,6 +283,10 @@ class TestPoolOutcomes:
             pool_outcomes(model, 5, 1.0, 0.99, 2)
 
 
+# int() raises OverflowError for an infinity and a ValueError naming no field for NaN.
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+
+
 class TestValidators:
     def test_prevalence_bounds(self):
         assert check_prevalence(0.25) == 0.25
@@ -298,6 +302,9 @@ class TestValidators:
             check_pool_size(10_001)
         with pytest.raises(ValueError, match="integer"):
             check_pool_size(2.5)
+        for bad in NON_FINITE:
+            with pytest.raises(ValueError, match="pool size must be an integer"):
+                check_pool_size(bad)
 
     def test_retest_bounds(self):
         assert check_retest_count(5) == 5
@@ -305,3 +312,11 @@ class TestValidators:
             check_retest_count(0)
         with pytest.raises(ValueError, match="retest count"):
             check_retest_count(101)
+        for bad in NON_FINITE:
+            with pytest.raises(ValueError, match="retest count must be an integer"):
+                check_retest_count(bad)
+
+    def test_non_finite_pmf_row_size(self):
+        for bad in NON_FINITE:
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                binomial_pmf_row(bad, 0.5)

@@ -1,7 +1,13 @@
 """Simulator determinism, conservation, and agreement with the closed forms."""
 
+import importlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pooltest import (
     DilutionModel,
@@ -16,6 +22,9 @@ from pooltest import (
     simulate,
     verify_against_analytic,
 )
+
+# The package exports the simulate function under the submodule's name.
+simulate_module = importlib.import_module("pooltest.simulate")
 
 
 def _config(kind=Procedure.MODIFIED, n=10, r=3, subjects=100_000, seed=11, p=0.01, model=None):
@@ -38,6 +47,15 @@ class TestConfigValidation:
             _config(seed=-1)
         with pytest.raises(ValueError, match="seed"):
             _config(seed=2**64)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_integers_name_their_field(self, bad):
+        with pytest.raises(ValueError, match="subjects must be a positive integer"):
+            _config(subjects=bad)
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            _config(seed=bad)
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            simulate(_config(subjects=100), threads=bad)
 
     def test_result_conservation_enforced(self):
         with pytest.raises(ValueError, match="pool"):
@@ -175,3 +193,99 @@ class TestVerification:
     def test_requires_configs(self):
         with pytest.raises(ValueError, match="at least one"):
             verify_against_analytic([])
+
+    def test_runs_the_per_subject_engine(self, monkeypatch):
+        """verify calls the module's simulate by name, config first, per subject."""
+        config = _config(subjects=20_003, seed=9, p=0.05)
+        reference = simulate(config, per_subject=True)
+        assert reference != simulate(config)
+        seen = []
+        original = simulate_module.simulate
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen.append((args[0], result))
+            return result
+
+        monkeypatch.setattr(simulate_module, "simulate", recording)
+        rows = verify_against_analytic([config], threads=3)
+        assert seen == [(config, reference)]
+        analytic = evaluate(config.model, config.p, config.procedure)
+        value = {row.metric: row.value for row in rows}
+        assert value["e_tests"] == ((reference.tests_per_subject - analytic.e_tests) / analytic.e_tests) ** 2
+
+
+# Property tests run on chunks of 4,096 subjects, so a few thousand subjects
+# already span several chunks and the thread pool has work to split.
+_SMALL_CHUNKS = 4096
+_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_KITS = st.sampled_from([TestKit(0.99, 0.99), TestKit(0.7, 0.9), TestKit(1.0, 1.0)])
+_PREVALENCES = st.floats(math.log(1e-6), math.log(0.5)).map(math.exp)
+
+
+@st.composite
+def _pooled_configs(draw):
+    n = draw(st.integers(2, 200))
+    # Up to 60 pools, with a short final pool whenever n does not divide subjects.
+    subjects = draw(st.integers(1, 60 * n))
+    return SimConfig(
+        subjects=subjects,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        procedure=ProcedureConfig(Procedure.MODIFIED, n=n, r=draw(st.integers(1, 5))),
+        model=bateman_fit_model(draw(_KITS)),
+        p=draw(_PREVALENCES),
+    )
+
+
+def _both_engines_at_one_and_three_threads(config):
+    """Each engine's result, after checking that 3 threads give 1 thread's counts."""
+    results = []
+    with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
+        for per_subject in (False, True):
+            result = simulate(config, threads=1, per_subject=per_subject)
+            assert simulate(config, threads=3, per_subject=per_subject) == result, per_subject
+            results.append(result)
+    return results
+
+
+class TestEngineProperties:
+    @_PROPERTY_SETTINGS
+    @given(_pooled_configs())
+    def test_pooled_counts_are_consistent(self, config):
+        n, r = config.procedure.n, config.procedure.r
+        full_pools, remainder = divmod(config.subjects, n)
+        pools = full_pools + (remainder > 0)
+        for result in _both_engines_at_one_and_three_threads(config):
+            classified = (
+                result.true_positives + result.false_positives
+                + result.true_negatives + result.false_negatives
+            )
+            assert classified == result.subjects == config.subjects
+            assert result.tests == result.pool_tests + result.individual_tests
+            assert pools <= result.pool_tests <= r * pools
+            # Whole pools read individually, plus the short pool or not.
+            assert any(
+                (result.individual_tests - short) % n == 0
+                and 0 <= (result.individual_tests - short) // n <= full_pools
+                for short in {0, remainder}
+            ), result
+            # Only subjects read individually can be declared positive.
+            assert result.true_positives + result.false_positives <= result.individual_tests
+
+    @_PROPERTY_SETTINGS
+    @given(st.integers(1, 30_000), st.integers(0, 2**64 - 1), _KITS, _PREVALENCES)
+    def test_individual_counts_are_consistent(self, subjects, seed, kit, p):
+        config = SimConfig(
+            subjects=subjects,
+            seed=seed,
+            procedure=ProcedureConfig(Procedure.INDIVIDUAL),
+            model=bateman_fit_model(kit),
+            p=p,
+        )
+        for result in _both_engines_at_one_and_three_threads(config):
+            assert result.pool_tests == 0
+            assert result.individual_tests == result.tests == subjects
+            assert (
+                result.true_positives + result.false_positives
+                + result.true_negatives + result.false_negatives
+            ) == subjects
