@@ -110,16 +110,16 @@ class DilutionModel:
         ratio = k / n if self.ratio_orientation == RATIO_K_OVER_N else n / k
         size = n if self.linear_term == LINEAR_POOL_SIZE else k
         coefficient = self.kit.se_i + self.kit.sp - 1.0
+        linear = self.beta * size
         try:  # a zero coefficient adds no power term, even where the power overflows
             dilution = coefficient * ratio**self.alpha if coefficient else 0.0
         except OverflowError:  # Se then clamps to the bound the coefficient's sign points at
             dilution = math.copysign(math.inf, coefficient)
-        linear = self.beta * size
-        if math.isinf(dilution) and math.isinf(linear) and dilution != linear:
-            # Both terms overflowed, to opposite infinities: the larger magnitude wins.
-            dilution_log = math.log(abs(coefficient)) + self.alpha * math.log(ratio)
-            linear_log = math.log(abs(self.beta)) + math.log(size)
-            return dilution if dilution_log > linear_log else linear
+            if math.isinf(linear) and linear != dilution:
+                # Opposite infinities would sum to NaN: the larger magnitude wins.
+                dilution_log = math.log(abs(coefficient)) + self.alpha * math.log(ratio)
+                linear_log = math.log(abs(self.beta)) + math.log(size)
+                return dilution if dilution_log > linear_log else linear
         return (1.0 - self.kit.sp) + dilution + linear
 
     def sensitivity(self, n: int, k: int) -> float:

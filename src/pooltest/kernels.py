@@ -61,6 +61,8 @@ def check_prevalence(p: float) -> float:
 
 def is_whole(value) -> bool:
     """True when value equals an int; inf and nan are not, and do not raise."""
+    if type(value) is int:  # the common case, and on the per-k path of every Se row
+        return True
     try:
         return value == int(value)
     except (OverflowError, ValueError):

@@ -68,6 +68,8 @@ class TestSweepSpec:
         (dict(r_range=(2.5, 3.2)), "r_range"),
         (dict(n_range=(2, 10_001)), "n_range"),
         (dict(r_range=(0, 3)), "r_range"),
+        (dict(n_range=(2, float("inf"))), "n_range"),
+        (dict(r_range=(1, float("nan"))), "r_range"),
     ])
     def test_ranges_are_validated_not_truncated(self, ranges, name):
         """A fractional bound used to be cut to (2, 4) / (2, 3) silently."""
