@@ -40,6 +40,10 @@ def _exact_row(n: int, p: Fraction) -> list[float]:
     return [float(exact_binomial_pmf(k, n, p)) for k in range(n + 1)]
 
 
+# int() raises OverflowError for an infinity and a ValueError naming no field for NaN.
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+
+
 class TestBinomialPmf:
     def test_degenerate_p_zero(self):
         assert binomial_pmf_row(5, 0.0).tolist() == _exact_row(5, Fraction(0))
@@ -92,8 +96,9 @@ class TestBinomialPmf:
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n must be"):
             binomial_pmf_row(-2, 0.5)
-        with pytest.raises(ValueError, match="n must be"):
-            binomial_pmf_row(2.5, 0.5)
+        for bad in (2.5, *NON_FINITE):
+            with pytest.raises(ValueError, match="n must be"):
+                binomial_pmf_row(bad, 0.5)
         with pytest.raises(ValueError, match="p must lie"):
             binomial_pmf_row(5, 1.5)
         with pytest.raises(ValueError, match="p must lie"):
@@ -283,10 +288,6 @@ class TestPoolOutcomes:
             pool_outcomes(model, 5, 1.0, 0.99, 2)
 
 
-# int() raises OverflowError for an infinity and a ValueError naming no field for NaN.
-NON_FINITE = (float("inf"), float("-inf"), float("nan"))
-
-
 class TestValidators:
     def test_prevalence_bounds(self):
         assert check_prevalence(0.25) == 0.25
@@ -315,8 +316,3 @@ class TestValidators:
         for bad in NON_FINITE:
             with pytest.raises(ValueError, match="retest count must be an integer"):
                 check_retest_count(bad)
-
-    def test_non_finite_pmf_row_size(self):
-        for bad in NON_FINITE:
-            with pytest.raises(ValueError, match="nonnegative integer"):
-                binomial_pmf_row(bad, 0.5)
