@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 from scipy import optimize
 
 from .kernels import check_pool_size, is_whole
@@ -101,35 +102,42 @@ class DilutionModel:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
-    def raw_sensitivity(self, n: int, k: int) -> float:
-        """The curve value before clamping, for 1 <= k <= n; +-inf where a term overflows."""
+    def raw_sensitivity(self, n: int, k):
+        """The curve before clamping, for 1 <= k <= n; +-inf where a term overflows.
+
+        An int k gives a float by scalar arithmetic (the C library's pow); an
+        integer array gives an array of its shape, where numpy's pow may be an ulp off.
+        """
         n = check_pool_size(n)
-        if not is_whole(k) or not 1 <= int(k) <= n:
-            raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
-        k = int(k)
-        ratio = k / n if self.ratio_orientation == RATIO_K_OVER_N else n / k
-        size = n if self.linear_term == LINEAR_POOL_SIZE else k
+        k = np.asarray(k)
         coefficient = self.kit.se_i + self.kit.sp - 1.0
-        linear = self.beta * size
-        try:  # a zero coefficient adds no power term, even where the power overflows
+        # Overflow gives IEEE +-inf, and Se clamps to the bound the term points at.
+        with np.errstate(over="ignore", invalid="ignore"):
+            valid = (1 <= k) & (k <= n) & (k % 1 == 0)  # nan and inf fail the range test
+            if not valid.all():
+                raise ValueError(f"k must be an integer in [1, {n}], got {k[~valid].tolist()[0]!r}")
+            ratio = k / n if self.ratio_orientation == RATIO_K_OVER_N else n / k
+            size = n if self.linear_term == LINEAR_POOL_SIZE else k
+            # A zero coefficient adds no power term, even where the power overflows.
             dilution = coefficient * ratio**self.alpha if coefficient else 0.0
-        except OverflowError:  # Se then clamps to the bound the coefficient's sign points at
-            dilution = math.copysign(math.inf, coefficient)
-            if math.isinf(linear) and linear != dilution:
-                # Opposite infinities would sum to NaN: the larger magnitude wins.
-                dilution_log = math.log(abs(coefficient)) + self.alpha * math.log(ratio)
-                linear_log = math.log(abs(self.beta)) + math.log(size)
-                return dilution if dilution_log > linear_log else linear
-        return (1.0 - self.kit.sp) + dilution + linear
+            linear = self.beta * size
+            raw = (1.0 - self.kit.sp) + dilution + linear
+        clash = np.isnan(raw)  # only opposite infinities sum to NaN
+        if clash.any():  # the term with the larger magnitude wins, compared in logs
+            dilution_log = math.log(abs(coefficient)) + self.alpha * np.log(ratio)
+            linear_log = math.log(abs(self.beta)) + np.log(size)
+            raw = np.where(clash, np.where(dilution_log > linear_log, dilution, linear), raw)
+        return raw if k.ndim else float(raw)
 
-    def sensitivity(self, n: int, k: int) -> float:
-        """Se(n, k), clamped into [0, 1]."""
-        return min(1.0, max(0.0, self.raw_sensitivity(n, k)))
+    def sensitivity(self, n: int, k):
+        """Se(n, k), clamped into [0, 1]; a float for an int k, an array for an array k."""
+        se = np.minimum(np.maximum(self.raw_sensitivity(n, k), 0.0), 1.0)
+        return se if se.ndim else float(se)
 
-    def is_clamped(self, n: int, k: int) -> bool:
-        """True when the raw curve leaves [0, 1] at (n, k) and clamping bites."""
+    def is_clamped(self, n: int, k):
+        """True where the raw curve leaves [0, 1] at (n, k) and clamping bites."""
         raw = self.raw_sensitivity(n, k)
-        return raw < 0.0 or raw > 1.0
+        return (raw < 0.0) | (raw > 1.0)
 
 
 @dataclass(frozen=True)

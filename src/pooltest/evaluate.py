@@ -19,7 +19,7 @@ subject-level error rates into sums over the reduced pmf row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -107,23 +107,14 @@ class Metrics:
     e_fn_individual_stage: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("e_tests", "e_fn", "e_fp"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
-        for name in (
-            "e_tests_individual_stage",
-            "e_fn_pool_stage",
-            "e_fn_individual_stage",
-        ):
-            value = getattr(self, name)
-            if value is None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:  # an optional stage diagnostic
                 continue
             value = float(value)
             if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if self.e_tests_individual_stage is not None:
             if self.e_tests_individual_stage > self.e_tests + 1e-12:
                 raise ValueError(
@@ -165,17 +156,15 @@ def _pooled_metrics(
     elif (outcomes.n, outcomes.p, outcomes.sp) != (n, p, kit.sp) or r >= len(outcomes.extra_reads):
         raise ValueError(f"pool outcomes do not cover n={n}, p={p}, sp={kit.sp}, r={r}")
     p_declared_pos = outcomes.p_declared_pos[r]
-    detected_share = outcomes.detected_share[r]
 
     # A positive subject is missed either because its pool never reads
     # positive, or because the follow-up individual test misses it.
     e_fn_pool = p * outcomes.missed_share[r]
-    e_fn_individual = p * (1.0 - kit.se_i) * detected_share
+    e_fn_individual = p * (1.0 - kit.se_i) * outcomes.detected_share[r]
 
     # A negative subject is falsely flagged only in the individual stage, so
-    # its pool must read positive first: that pool-positive probability for a
-    # negative subject is P(T=1) minus the positive-subject share.
-    e_fp = (1.0 - kit.sp) * (p_declared_pos - p * detected_share)
+    # its pool must read positive first.
+    e_fp = (1.0 - kit.sp) * (1.0 - p) * outcomes.false_alarm_share[r]
 
     # Pool tests per subject: the first read always happens, later ones only
     # after negative reads.
@@ -243,8 +232,8 @@ def _posterior(
             f"P(pool declared {outcome}) is 0 in double precision at p={p}, n={n}, "
             f"r={r}, so the posterior given that outcome is undefined"
         )
-    # p * share <= P(outcome) term by term over k; only rounding can pass 1.
-    return min(1.0, float(p * share / event))
+    # The event is p * share plus a nonnegative term, so the ratio stays in [0, 1].
+    return float(p * share / event)
 
 
 def posterior_given_negative_pool(

@@ -3,18 +3,20 @@
 Beside the input validators and the binomial pmf row, the module holds one
 vectorised pool kernel, pool_outcomes. For a sensitivity model, pool size n
 and prevalence p it returns every pool-read probability the closed forms
-need, for each read budget r = 0..r_max at once. It builds the read
-probability row over k = 0..n positives once, two binomial pmf rows, and
-the matrix of miss chances (1 - Se(n,k))^j for j = 0..r_max; each result is
-that matrix, or one minus it, times a pmf row. Every probability is its own
+need, for each read budget r = 0..r_max at once. It asks the model for the
+whole Se row over k = 1..n in one call, builds the matrix of miss chances
+(1 - Se(n,k))^j for j = 0..r_max, and weighs it by one binomial pmf row: the
+law of a subject's n - 1 pool mates. Shifted by one positive, that row gives
+a positive subject's shares; unshifted, a negative subject's. The pool-level
+chances are the p-mixture of the two (Pascal's rule). Every probability is a
 sum of nonnegative terms, never one minus another, so a missed share near
 1e-18 or a declared-positive chance that underflows to 0 keeps its digits.
 
 The binomial pmf is delegated to scipy, whose implementation keeps the
 row-sum error near the unit roundoff even for very large n; a naive
 exp(lgamma) construction loses two digits by n = 10**4. Its per-call
-overhead dominates at small n, which is why the kernel asks for two rows per
-(n, p) and serves every r from them.
+overhead dominates at small n, which is why the kernel asks for one row per
+(n, p) and serves every r from it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "pool_test_outcome_probs",
     "PoolOutcomes",
     "pool_outcomes",
-    "sensitivity_row",
     "SensitivityModel",
     "check_prevalence",
     "check_pool_size",
@@ -40,9 +41,10 @@ __all__ = [
 
 
 class SensitivityModel(Protocol):
-    """Anything exposing Se(n, k); structural so test stubs qualify too."""
+    """Anything exposing Se(n, k) over an integer array k, as an array of its
+    shape or a scalar that broadcasts to it; structural so test stubs qualify."""
 
-    def sensitivity(self, n: int, k: int) -> float: ...
+    def sensitivity(self, n: int, k: np.ndarray) -> np.ndarray | float: ...
 
 # Bounds accepted for pool size and total retest count. The upper limits are
 # generous relative to anything a sweep visits; they exist to catch corrupted
@@ -61,8 +63,6 @@ def check_prevalence(p: float) -> float:
 
 def is_whole(value) -> bool:
     """True when value equals an int; inf and nan are not, and do not raise."""
-    if type(value) is int:  # the common case, and on the per-k path of every Se row
-        return True
     try:
         return value == int(value)
     except (OverflowError, ValueError):
@@ -103,18 +103,14 @@ def binomial_pmf_row(n: int, p: float) -> np.ndarray:
     return stats.binom.pmf(np.arange(n + 1), n, p)
 
 
-def sensitivity_row(model: SensitivityModel, n: int) -> np.ndarray:
-    """[Se(n,1), ..., Se(n,n)], the one loop over k: models only promise a scalar Se."""
-    return np.array([model.sensitivity(n, k) for k in range(1, n + 1)])
-
-
 class PoolOutcomes(NamedTuple):
     """Pool-read probabilities of one (model, n, p, sp), indexed by read budget.
 
     Each array has r_max + 1 entries. Entry r holds the value for a pool read
     up to r times, stopping at the first positive read; entry 0 (no read at
-    all) is kept so that r indexes directly. The detected and missed shares
-    are taken over the pool of a given positive subject.
+    all) is kept so that r indexes directly. A given positive subject's pool
+    is declared positive or negative with the detected and missed shares, a
+    given negative subject's pool positive with the false-alarm share.
     """
 
     n: int
@@ -124,6 +120,7 @@ class PoolOutcomes(NamedTuple):
     p_declared_neg: np.ndarray
     detected_share: np.ndarray
     missed_share: np.ndarray
+    false_alarm_share: np.ndarray
     extra_reads: np.ndarray  # expected pool reads after the first
 
 
@@ -139,19 +136,24 @@ def pool_outcomes(
     r_max = check_retest_count(r_max)
     # Chance that one read of a pool with k positives comes back negative;
     # for the clean pool (k = 0) that is the specificity.
-    miss = np.concatenate(([sp], 1.0 - sensitivity_row(model, n)))
+    k = np.arange(1, n + 1)
+    miss = np.concatenate(([sp], 1.0 - np.broadcast_to(model.sensitivity(n, k), k.shape)))
     miss_pow = miss ** np.arange(r_max + 1)[:, None]
-    # Pr(k; n, p), and Pr(k-1; n-1, p) = P(k positives | a given subject is positive).
-    weights = np.zeros((n + 1, 2))
-    weights[:, 0] = binomial_pmf_row(n, p)
-    weights[1:, 1] = binomial_pmf_row(n - 1, p)
+    # Pr(j; n-1, p) over a subject's n - 1 pool mates: the pool holds k = j
+    # positives for a negative subject and k = j + 1 for a positive one.
+    mates = binomial_pmf_row(n - 1, p)
+    weights = np.column_stack((np.append(mates, 0.0), np.append(0.0, mates)))
     # Summed in floating point, a share can land one ulp above 1.
-    neg, missed = np.minimum(miss_pow @ weights, 1.0).T
-    pos, detected = np.minimum((1.0 - miss_pow) @ weights, 1.0).T
+    cleared, missed = np.minimum(miss_pow @ weights, 1.0).T
+    false_alarm, detected = np.minimum((1.0 - miss_pow) @ weights, 1.0).T
+    # Pascal's rule, Pr(k; n, p) = p Pr(k-1; n-1, p) + (1-p) Pr(k; n-1, p): a
+    # p-mixture of shares, each at most 1, rounds to at most 1.
+    pos = p * detected + (1.0 - p) * false_alarm
+    neg = p * missed + (1.0 - p) * cleared
     # Read l = 2..r happens only when reads 1..l-1 were all negative.
     extra_reads = np.zeros(r_max + 1)
     extra_reads[2:] = np.cumsum(neg[1:-1])
-    return PoolOutcomes(n, p, sp, pos, neg, detected, missed, extra_reads)
+    return PoolOutcomes(n, p, sp, pos, neg, detected, missed, false_alarm, extra_reads)
 
 
 def pool_test_outcome_probs(

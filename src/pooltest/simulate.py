@@ -37,7 +37,7 @@ import numpy as np
 
 from .dilution import DilutionModel
 from .evaluate import Metrics, Procedure, ProcedureConfig, evaluate
-from .kernels import check_prevalence, is_whole, sensitivity_row
+from .kernels import check_prevalence, is_whole
 
 __all__ = [
     "DESK_SCALE_SUBJECTS",
@@ -134,7 +134,8 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _sensitivity_row(model: DilutionModel, n: int) -> np.ndarray:
     """Read probabilities by positive count k = 0..n; k = 0 is a false positive."""
-    return np.concatenate(([1.0 - model.kit.sp], sensitivity_row(model, n)))
+    k = np.arange(1, n + 1)
+    return np.concatenate(([1.0 - model.kit.sp], np.broadcast_to(model.sensitivity(n, k), k.shape)))
 
 
 def _run_individual_chunk(config: SimConfig, count: int, chunk_index: int):

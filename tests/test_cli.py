@@ -80,6 +80,18 @@ class TestEvaluateCommand:
         assert code in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_false_positives_near_certain_prevalence_exit_zero(self, capsys):
+        """With p one part in 1e9 below 1, e_fp is about 1e-18; formed as P(declared
+        +) less the positive subjects' share it cancelled to -7.8e-17 and failed
+        Metrics' nonnegativity check."""
+        code = main([
+            "evaluate", "--kind", "modified", "--n", "2", "--r", "2", "--p", "0.999999999",
+            "--se-i", "0.5", "--sp", "0.3", "--alpha", "-1000",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "e_fp = " in captured.out
+
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
     def test_non_finite_coefficient_exits_one(self, capsys, flag):
         """A NaN coefficient would clamp Se to 0 and report e_fn = p."""

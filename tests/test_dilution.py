@@ -1,6 +1,7 @@
 """Dilution curve behavior, variant switches, and the least-squares fit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ class TestTestKit:
             TestKit(se_i=0.0, sp=0.99)
         with pytest.raises(ValueError, match="sp"):
             TestKit(se_i=0.99, sp=1.2)
+
+
+def _row_samples():
+    """(n, k) rows up to n = 10,000: every k up to n = 399, then 100 spread
+    over 1..n (both ends included) at sizes where the stock curve clamps."""
+    for n in (1, 2, 7, 50, 399, 641, 789, 2_500, 10_000):
+        yield n, np.unique(np.linspace(1, n, min(n, 100) if n > 399 else n).astype(int))
 
 
 class TestDilutionModel:
@@ -106,6 +114,66 @@ class TestDilutionModel:
         assert model.sensitivity(10, 1) == 1.0
         assert model.raw_sensitivity(10_000, 1_000) == -math.inf
         assert model.is_clamped(10_000, 1_000) and model.sensitivity(10_000, 1_000) == 0.0
+
+    def test_array_rows_settle_each_clash_on_its_own(self):
+        """Along one row only some k overflow, and of those the power term wins
+        some and beta * size the others; each element matches its scalar call."""
+        # 0.98 * (10000/k)**310 overflows for k <= 1012, against -1e308 * 10000 = -inf;
+        # the power term has the larger magnitude for k <= 985.
+        model = DilutionModel(kit=DEFAULT_KIT, alpha=-310.0, beta=-1e308)
+        k = np.arange(1, 10_001)
+        raw = model.raw_sensitivity(10_000, k)
+        assert np.all(raw[:985] == math.inf) and np.all(raw[985:] == -math.inf)
+        for j in (1, 985, 986, 1012, 1013, 10_000):
+            assert raw[j - 1] == model.raw_sensitivity(10_000, j), j
+        assert model.is_clamped(10_000, k).all()
+        np.testing.assert_array_equal(model.sensitivity(10_000, k), np.where(k <= 985, 1.0, 0.0))
+        # Kit 0.3/0.3: -0.4 * (10/k)**1000 overflows for k <= 4 and outweighs
+        # 1e308 * 10 = +inf; for k >= 5 it is finite and the linear term wins.
+        model = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=-1000.0, beta=1e308)
+        k = np.arange(1, 11)
+        assert model.raw_sensitivity(10, k).tolist() == [-math.inf] * 4 + [math.inf] * 6
+        assert model.sensitivity(10, k).tolist() == [0.0] * 4 + [1.0] * 6
+        assert [model.raw_sensitivity(10, j) for j in k.tolist()] == [-math.inf] * 4 + [math.inf] * 6
+
+    @pytest.mark.parametrize("orientation", ["k-over-n", RATIO_N_OVER_K])
+    def test_array_power_is_within_one_ulp_of_scalar_pow(self, orientation):
+        """With kit 1/1 and beta = 0 the curve is its power term alone. An array
+        of k gives each scalar call's value within one ulp: numpy's vectorised
+        pow is not the C library's."""
+        for alpha in (bateman_fit_model().alpha, -0.7, 3.0):
+            model = DilutionModel(kit=TestKit(1.0, 1.0), alpha=alpha, ratio_orientation=orientation)
+            for n, k in _row_samples():
+                scalar = [model.raw_sensitivity(n, j) for j in k.tolist()]
+                np.testing.assert_array_max_ulp(model.raw_sensitivity(n, k), scalar, maxulp=1)
+
+    @pytest.mark.parametrize("orientation", ["k-over-n", RATIO_N_OVER_K])
+    @pytest.mark.parametrize("linear_term", ["pool-size", LINEAR_POSITIVES])
+    def test_array_k_matches_scalar_calls(self, orientation, linear_term):
+        """The whole curve carries that one-ulp power difference, times
+        se_i + sp - 1 < 1, through two sums that round again: within 2 eps,
+        relative for |Se| above 1. On the stock curve below n = 400, 4,244 of
+        79,799 (n, k) pairs differ, by one ulp (2,610) or two (1,634)."""
+        model = bateman_fit_model(ratio_orientation=orientation, linear_term=linear_term)
+        eps = np.finfo(float).eps
+        for n, k in _row_samples():
+            for method in (model.raw_sensitivity, model.sensitivity):
+                row = method(n, k)
+                assert row.shape == k.shape and row.dtype == np.float64
+                scalar = [method(n, j) for j in k.tolist()]
+                np.testing.assert_allclose(row, scalar, rtol=2 * eps, atol=2 * eps)
+        grid = np.array([[1, 2], [3, 10]])
+        assert model.sensitivity(10, grid).shape == (2, 2)
+        assert model.is_clamped(10, grid).tolist() == [[model.is_clamped(10, j) for j in row] for row in grid.tolist()]
+
+    @pytest.mark.parametrize("bad", [0, 6, 2.5, float("nan"), float("inf")])
+    def test_array_k_is_validated(self, bad):
+        """The k range is checked once per call, over the whole array."""
+        model = bateman_fit_model()
+        k = np.array([1, 2, bad, 5])
+        for method in (model.raw_sensitivity, model.sensitivity, model.is_clamped):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [1, 5], got {bad!r}")):
+                method(5, k)
 
     def test_zero_coefficient_adds_no_power_term(self):
         """se_i + sp = 1 leaves Se = 1 - sp + beta * size, even where the power overflows."""

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pooltest import (
     DilutionModel,
@@ -20,7 +22,7 @@ from pooltest import (
     posterior_given_negative_pool,
     posterior_given_positive_pool,
 )
-from pooltest.kernels import pool_outcomes
+from pooltest.kernels import MAX_POOL_SIZE, MAX_RETESTS, pool_outcomes
 
 from _oracles import enumerate_pooled_metrics, exact_binomial_pmf
 
@@ -200,6 +202,21 @@ class TestPoolStageMisses:
             for k in range(1, n + 1)
         )
         got = eval_modified(model, p, n, r).e_fn_pool_stage
+        np.testing.assert_allclose(got, float(exact), rtol=1e-12)
+
+    def test_false_positives_match_exact_sum(self):
+        """(1 - Sp)(1 - p) sum_j (1 - miss(j)^r) Pr(j; n-1, p) in rational
+        arithmetic, miss(0) = Sp and miss(j) = 1 - Se(n, j). At p = 1 - 1e-12
+        e_fp is near 1e-14, where P(declared +) less p times the detected
+        share kept only its leftover digits (9.99867e-15 against 9.99961e-15)."""
+        model = bateman_fit_model()
+        n, r, p = 10, 3, 1.0 - 1e-12
+        exact_p, sp = Fraction(p), Fraction(model.kit.sp)
+        miss = [sp] + [1 - Fraction(model.sensitivity(n, k)) for k in range(1, n)]
+        exact = (1 - sp) * (1 - exact_p) * sum(
+            (1 - miss[j] ** r) * exact_binomial_pmf(j, n - 1, exact_p) for j in range(n)
+        )
+        got = eval_modified(model, p, n, r).e_fp
         np.testing.assert_allclose(got, float(exact), rtol=1e-12)
 
 
@@ -383,9 +400,10 @@ class TestPosteriors:
         assert defined > 100
 
     def test_rounding_never_lifts_a_posterior_past_one(self):
-        """p times the missed share is at most P(declared negative) term by
-        term, but with a curve rising as the positive share falls and p next to
-        1 their float ratio lands one ulp above 1 unless capped."""
+        """With a curve rising as the positive share falls and p next to 1, the
+        ratio of p times the missed share to P(declared negative), each summed
+        on its own, landed one ulp above 1. P(declared negative) is now p times
+        that share plus a nonnegative term, so the ratio cannot pass 1."""
         rising = DilutionModel(kit=TestKit(se_i=1.0, sp=1.0), alpha=-1.0, beta=-0.01)
         assert posterior_given_negative_pool(rising, 1.0 - 1e-12, 2, 1) <= 1.0
 
@@ -396,3 +414,69 @@ class TestPosteriors:
         perfect = DilutionModel(kit=TestKit(se_i=1.0, sp=1.0))
         with pytest.raises(ValueError, match="declared negative"):
             posterior_given_negative_pool(perfect, 0.9, 10000)
+
+
+# The accepted domain: p in (0, 1) with both ends at 1e-12, n in [2, 10000],
+# r in [1, 100], se/sp in (0, 1], any finite alpha and beta.
+_TINY = st.floats(math.log(1e-12), math.log(0.5)).map(math.exp)
+_DOMAIN_PREVALENCES = st.one_of(
+    st.sampled_from([1e-12, 1.0 - 1e-12]), _TINY, _TINY.map(lambda q: 1.0 - q)
+)
+_RATES = st.floats(0.0, 1.0, exclude_min=True)
+_COEFFICIENTS = st.one_of(
+    st.floats(-1.0, 1.0), st.floats(-1e308, 1e308), st.sampled_from([-1000.0, 1000.0])
+)
+# Most pool sizes small, as the sweeps use; some anywhere up to the limit.
+_POOL_SIZES = st.one_of(
+    st.integers(2, 60), st.integers(2, MAX_POOL_SIZE), st.just(MAX_POOL_SIZE)
+)
+
+
+@st.composite
+def _domain_models(draw):
+    return DilutionModel(
+        kit=TestKit(se_i=draw(_RATES), sp=draw(_RATES)),
+        alpha=draw(_COEFFICIENTS),
+        beta=draw(_COEFFICIENTS),
+        ratio_orientation=draw(st.sampled_from(["k-over-n", "n-over-k"])),
+        linear_term=draw(st.sampled_from(["pool-size", "positives"])),
+    )
+
+
+class TestAcceptedDomain:
+    """Every input the validators accept gives finite, in-range numbers or the
+    documented ValueError."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_domain_models(), _DOMAIN_PREVALENCES, _POOL_SIZES, st.integers(1, MAX_RETESTS))
+    def test_metrics_posteriors_and_lemmas(self, model, p, n, r_max):
+        kit = model.kit
+        outcomes = pool_outcomes(model, n, p, kit.sp, r_max)
+        np.testing.assert_allclose(
+            outcomes.p_declared_pos[1:] + outcomes.p_declared_neg[1:], 1.0, rtol=0, atol=1e-12
+        )
+        results = [eval_modified(model, p, n, r, outcomes) for r in range(1, r_max + 1)]
+        floor = (1.0 - kit.se_i) * p
+        certain = eval_modified(_ForcedDetectionModel(kit), p, n, r_max)
+        np.testing.assert_allclose(certain.e_fn, floor, rtol=1e-12)
+        for metrics in results:
+            values = [getattr(metrics, name) for name in _METRIC_FIELDS]
+            assert all(math.isfinite(v) for v in values), metrics
+            assert metrics.e_fn <= p * (1.0 + 1e-12), metrics
+            assert metrics.e_fp <= (1.0 - p) * (1.0 - kit.sp), metrics
+            assert metrics.e_fn >= floor - 1e-12, metrics
+        # Criterion 5's lemmas, between every r and the next.
+        pos, neg = outcomes.p_declared_pos, outcomes.p_declared_neg
+        assert np.all(np.diff(pos[1:]) >= -1e-12) and np.all(np.diff(neg[1:]) <= 1e-12)
+        for fewer, more in zip(results, results[1:]):
+            assert more.e_fn <= fewer.e_fn + 1e-12
+            assert more.e_tests_individual_stage >= fewer.e_tests_individual_stage - 1e-12
+            assert more.e_tests >= fewer.e_tests - 1e-12
+        for posterior in (posterior_given_negative_pool, posterior_given_positive_pool):
+            for r in {1, r_max}:
+                try:
+                    value = posterior(model, p, n, r)
+                except ValueError as exc:
+                    assert "is 0 in double precision" in str(exc)
+                else:
+                    assert 0.0 <= value <= 1.0, (posterior.__name__, r)

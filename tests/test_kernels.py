@@ -8,12 +8,12 @@ import pytest
 
 from pooltest import bateman_fit_model, pool_test_outcome_probs
 from pooltest.kernels import (
+    PoolOutcomes,
     binomial_pmf_row,
     check_pool_size,
     check_prevalence,
     check_retest_count,
     pool_outcomes,
-    sensitivity_row,
 )
 
 from _oracles import (
@@ -169,7 +169,7 @@ class TestPoolSensitivityAvg:
         for _ in range(50):
             n = int(rng.integers(2, 51))
             p = float(rng.uniform(0.001, 0.3))
-            values = sensitivity_row(model, n)
+            values = model.sensitivity(n, np.arange(1, n + 1))
             avg = self._average(model, n, p)
             assert values.min() - 1e-12 <= avg <= values.max() + 1e-12
 
@@ -231,7 +231,9 @@ class TestPoolOutcomes:
         its complement would leave a tiny negative number."""
         model = bateman_fit_model()
         outcomes = pool_outcomes(model, 5000, 0.5, model.kit.sp, 3)
-        for name in ("p_declared_pos", "p_declared_neg", "detected_share", "missed_share"):
+        for name in (
+            "p_declared_pos", "p_declared_neg", "detected_share", "missed_share", "false_alarm_share"
+        ):
             values = getattr(outcomes, name)
             assert np.all((values >= 0.0) & (values <= 1.0)), name
         assert np.all(outcomes.detected_share == 0.0)
@@ -239,12 +241,15 @@ class TestPoolOutcomes:
 
     @pytest.mark.parametrize("n, p, r", [(1000, 0.3, 1), (1000, 0.3, 5), (2, 0.01, 100)])
     def test_rounding_never_lifts_a_probability_past_one(self, n, p, r):
-        """Summed in floating point, P(declared negative) at (1000, 0.3) and the
-        detected share at (2, 0.01, r = 100) land one ulp above 1; the kernel
-        caps them."""
+        """Summed in floating point, the detected share at (2, 0.01, r = 100)
+        lands one ulp above 1, and so did P(declared negative) at (1000, 0.3)
+        as a sum over the n-positive row; the kernel caps the shares, and the
+        p-mixtures of capped shares stay at or below 1."""
         model = bateman_fit_model()
         out = pool_outcomes(model, n, p, model.kit.sp, r)
-        for name in ("p_declared_pos", "p_declared_neg", "detected_share", "missed_share"):
+        for name in (
+            "p_declared_pos", "p_declared_neg", "detected_share", "missed_share", "false_alarm_share"
+        ):
             assert getattr(out, name)[r] <= 1.0, name
 
     def test_pairs_are_complementary(self):
@@ -272,11 +277,27 @@ class TestPoolOutcomes:
             )
             np.testing.assert_allclose(out.extra_reads[r], expected, rtol=1e-13)
 
-    def test_sensitivity_row_follows_the_model(self):
+    def test_model_is_asked_for_the_whole_se_row(self):
+        """One sensitivity call per pool, over k = 1..n; a scalar answer
+        broadcasts, so a constant stub stands in for a curve."""
         model = bateman_fit_model()
-        row = sensitivity_row(model, 7)
-        assert row.tolist() == [model.sensitivity(7, k) for k in range(1, 8)]
-        assert sensitivity_row(_ConstantModel(0.5), 3).tolist() == [0.5, 0.5, 0.5]
+        calls = []
+
+        class Recording:
+            def sensitivity(self, n, k):
+                calls.append((n, k.tolist()))
+                return model.sensitivity(n, k)
+
+        got = pool_outcomes(Recording(), 7, 0.1, 0.99, 3)
+        assert calls == [(7, list(range(1, 8)))]
+        want = pool_outcomes(model, 7, 0.1, 0.99, 3)
+        for name in PoolOutcomes._fields[3:]:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        constant = pool_outcomes(_ConstantModel(0.5), 3, 0.2, 1.0, 2)
+        # With sp = 1 a negative subject's pool reads positive only through its
+        # positive mates, present with chance 1 - 0.8**2 = 0.36.
+        np.testing.assert_allclose(constant.detected_share, [0.0, 0.5, 0.75], rtol=1e-15)
+        np.testing.assert_allclose(constant.false_alarm_share, [0.0, 0.18, 0.27], rtol=1e-14)
 
     def test_domain_errors(self):
         model = bateman_fit_model()
