@@ -15,12 +15,13 @@ and removes partial outputs if it fails midway.
 from __future__ import annotations
 
 import argparse
-import csv
+import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
+from .csvio import fmt, write_table
 from .dilution import (
     BATEMAN_FIT_ALPHA,
     BATEMAN_FIT_BETA,
@@ -36,7 +37,6 @@ from .dilution import (
     load_observations,
 )
 from .evaluate import (
-    Metrics,
     Procedure,
     ProcedureConfig,
     evaluate,
@@ -47,7 +47,6 @@ from .pareto import (
     DEFAULT_SWEEP_PREVALENCES,
     FN_INCREASE_CAPS,
     SweepSpec,
-    _fmt,
     fp_summary,
     min_tests_under_fn_cap,
     read_sweep_csv,
@@ -68,7 +67,13 @@ __all__ = ["main"]
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this package reserves 2 for
-    numeric failures, so usage problems exit 1 instead."""
+    numeric failures, so usage problems exit 1 instead. A value such as
+    -1.2e-05, as fmt writes it, is a negative number, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only forms like -1 and -1.5 for numbers.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -155,10 +160,15 @@ _MODEL_KEYS = ("alpha", "beta", "linear_term", "ratio_orientation", "se_i", "sp"
 def _record_value(value) -> str:
     if isinstance(value, (list, tuple)):
         return ",".join(map(_record_value, value))
-    return _fmt(value) if isinstance(value, float) else str(value)
+    return fmt(value) if isinstance(value, float) else str(value)
 
 
-def _record_pairs(args: argparse.Namespace, **resolved) -> list[tuple[str, str]]:
+def _pair_lines(pairs) -> list[str]:
+    """One `key = value` line per pair, floats through fmt."""
+    return [f"{key} = {_record_value(value)}" for key, value in pairs]
+
+
+def _record_pairs(args: argparse.Namespace, **resolved) -> list[tuple[str, object]]:
     """Every parsed flag but the unrecorded ones: the command's own sorted by
     name, then the model flags. resolved adds what the flags do not hold
     directly; its p_values replaces --p."""
@@ -168,18 +178,17 @@ def _record_pairs(args: argparse.Namespace, **resolved) -> list[tuple[str, str]]
     values.update(resolved)
     keys = sorted(key for key in values if key not in _MODEL_KEYS)
     keys += [key for key in _MODEL_KEYS if key in values]
-    return [(key, _record_value(values[key])) for key in keys]
+    return [(key, values[key]) for key in keys]
 
 
-def _write_record(artifacts: _Artifacts, args: argparse.Namespace, pairs: list[tuple[str, str]]) -> None:
-    lines = [f"tool = pooltest {__version__}", f"command = {args.command}"]
-    lines += [f"{key} = {value}" for key, value in pairs]
+def _write_record(artifacts: _Artifacts, args: argparse.Namespace, pairs: list[tuple[str, object]]) -> None:
+    lines = _pair_lines([("tool", f"pooltest {__version__}"), ("command", args.command), *pairs])
     artifacts.path(f"{args.command}-run.txt").write_text("\n".join(lines) + "\n")
 
 
-def _emit(args: argparse.Namespace, lines: list[str], **resolved) -> int:
-    """Print the result lines; with --out, also write them and the run record."""
-    text = "\n".join(lines)
+def _emit(args: argparse.Namespace, pairs: list[tuple[str, object]], **resolved) -> int:
+    """Print the result pairs; with --out, also write them and the run record."""
+    text = "\n".join(_pair_lines(pairs))
     print(text)
     if args.out:
         with _Artifacts(args.out) as artifacts:
@@ -188,30 +197,17 @@ def _emit(args: argparse.Namespace, lines: list[str], **resolved) -> int:
     return 0
 
 
-def _metrics_lines(metrics: Metrics) -> list[str]:
-    """One line per metric; the optional stage diagnostics only when present."""
-    values = [(name, getattr(metrics, name)) for name in (
-        "e_tests", "e_fn", "e_fp",
-        "e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage",
-    )]
-    return [f"{name} = {_fmt(value)}" for name, value in values if value is not None]
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     config = ProcedureConfig(kind=Procedure(args.kind), n=args.n, r=args.r)
     metrics = evaluate(model, args.p, config)
-    lines = _metrics_lines(metrics)
+    # The optional stage diagnostics only when present.
+    pairs = [(name, value) for name, value in asdict(metrics).items() if value is not None]
     if config.kind is not Procedure.INDIVIDUAL:
-        lines.append(
-            "posterior_given_negative_pool = "
-            + _fmt(posterior_given_negative_pool(model, args.p, config.n, config.r))
-        )
-        lines.append(
-            "posterior_given_positive_pool = "
-            + _fmt(posterior_given_positive_pool(model, args.p, config.n, config.r))
-        )
-    return _emit(args, lines)
+        shape = (model, args.p, config.n, config.r)
+        pairs.append(("posterior_given_negative_pool", posterior_given_negative_pool(*shape)))
+        pairs.append(("posterior_given_positive_pool", posterior_given_positive_pool(*shape)))
+    return _emit(args, pairs)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -225,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = simulate(config, threads=args.threads)
     names = [field.name for field in fields(SimResult)] + ["tests_per_subject", "fn_per_subject", "fp_per_subject"]
-    return _emit(args, [f"{name} = {_record_value(getattr(result, name))}" for name in names])
+    return _emit(args, [(name, getattr(result, name)) for name in names])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -252,34 +248,28 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         ratio_orientation=args.ratio_orientation,
         linear_term=args.linear_term,
     )
-    lines = [
-        f"alpha = {result.model.alpha:.6g}",
-        f"beta = {result.model.beta:.6g}",
-        f"mse = {result.mse:.6g}",
-        f"iterations = {result.iterations}",
-        f"observations = {len(observations)}",
+    pairs = [
+        ("alpha", result.model.alpha),
+        ("beta", result.model.beta),
+        ("mse", result.mse),
+        ("iterations", result.iterations),
+        ("observations", len(observations)),
     ]
-    return _emit(args, lines, fit_data=source)
+    return _emit(args, pairs, fit_data=source)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     configs = default_verification_configs(model, subjects=args.subjects, seed=args.seed)
     rows = verify_against_analytic(configs, threads=args.threads)
-    lines = [
-        f"{row.kind.value} {row.metric} {row.mode} {_fmt(row.value)} configs={row.configs}"
-        for row in rows
-    ]
-    print("\n".join(lines))
+    cells = [[row.kind.value, row.metric, row.mode, row.value, row.configs] for row in rows]
+    print("\n".join(
+        f"{kind} {metric} {mode} {fmt(value)} configs={configs}"
+        for kind, metric, mode, value, configs in cells
+    ))
     if args.out:
         with _Artifacts(args.out) as artifacts:
-            with artifacts.path("verification.csv").open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["kind", "metric", "mode", "value", "configs"])
-                for row in rows:
-                    writer.writerow(
-                        [row.kind.value, row.metric, row.mode, _fmt(row.value), row.configs]
-                    )
+            write_table(artifacts.path("verification.csv"), ["kind", "metric", "mode", "value", "configs"], cells)
             _write_record(artifacts, args, _record_pairs(args))
     return 0
 
@@ -288,29 +278,20 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     points = read_sweep_csv(args.sweep_csv) if args.sweep_csv else sweep(_spec_from_args(args))
 
     p_values = sorted({pt.p for pt in points})
+    cap_rows, fp_rows = [], []
+    for p in p_values:
+        at_p = [pt for pt in points if pt.p == p]
+        retested = [pt for pt in at_p if pt.kind is Procedure.MODIFIED]
+        for cap in FN_INCREASE_CAPS:
+            best = min_tests_under_fn_cap(retested, cap)
+            cells = ["", "", ""] if best is None else [best.relative_tests, best.config.n, best.config.r]
+            cap_rows.append([p, cap, *cells])
+        summary = fp_summary(at_p)
+        # Procedure lists individual, dorfman, modified: the header's order.
+        fp_rows.append([p, *(summary.get(kind, "") for kind in Procedure)])
     with _Artifacts(args.out) as artifacts:
-        with artifacts.path("tests_by_fn_cap.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["p", "cap", "relative_tests", "n", "r"])
-            for p in p_values:
-                retested = [
-                    pt for pt in points if pt.p == p and pt.kind is Procedure.MODIFIED
-                ]
-                for cap in FN_INCREASE_CAPS:
-                    best = min_tests_under_fn_cap(retested, cap)
-                    cells = ["", "", ""] if best is None else [
-                        _fmt(best.relative_tests), best.config.n, best.config.r
-                    ]
-                    writer.writerow([_fmt(p), _fmt(cap)] + cells)
-        with artifacts.path("false_positive_summary.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["p", "individual", "dorfman", "modified"])
-            for p in p_values:
-                summary = fp_summary([pt for pt in points if pt.p == p])
-                # Procedure lists individual, dorfman, modified: the header's order.
-                writer.writerow(
-                    [_fmt(p)] + [_fmt(summary[kind]) if kind in summary else "" for kind in Procedure]
-                )
+        write_table(artifacts.path("tests_by_fn_cap.csv"), ["p", "cap", "relative_tests", "n", "r"], cap_rows)
+        write_table(artifacts.path("false_positive_summary.csv"), ["p", "individual", "dorfman", "modified"], fp_rows)
         # A persisted sweep carries its own inputs in its run record.
         pairs = [] if args.sweep_csv else _record_pairs(args, p_values=p_values)
         _write_record(artifacts, args, [("source", args.sweep_csv or "sweep")] + pairs)

@@ -15,7 +15,6 @@ curve reduces to Se_I plus beta, i.e. essentially the individual test kit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
+from .csvio import read_table
 from .kernels import check_pool_size, is_whole
 
 __all__ = [
@@ -265,28 +265,11 @@ def fit_dilution_model(
 
 def load_observations(path: str | Path) -> tuple[SensitivityObservation, ...]:
     """Read pool sensitivity observations from a CSV with header n,k,se."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header n,k,se") from None
-        if [col.strip() for col in header] != ["n", "k", "se"]:
-            raise ValueError(f"{path}: expected header n,k,se, got {header!r}")
-        observations = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                obs = SensitivityObservation(
-                    n=int(row[0]), k=int(row[1]), se_observed=float(row[2])
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            observations.append(obs)
+    observations = read_table(
+        path,
+        ["n", "k", "se"],
+        lambda row: SensitivityObservation(n=int(row[0]), k=int(row[1]), se_observed=float(row[2])),
+    )
     if not observations:
         raise ValueError(f"{path}: no observation rows")
     return tuple(observations)

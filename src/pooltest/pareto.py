@@ -12,12 +12,13 @@ lower envelope and hides how each family trades off on its own.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .csvio import read_table, write_table
 from .dilution import DilutionModel, bateman_fit_model
 from .evaluate import (
     Metrics,
@@ -112,28 +113,19 @@ def _non_dominated_indices(objectives: Sequence[tuple[float, float]]) -> set[int
 
     A point is dominated by another that is no worse in both coordinates and
     strictly better in at least one; exact ties in both survive together.
-    One sorted scan: a point survives when its second objective is the least
-    among points sharing its first, and below that of every point with a
-    smaller first.
+    One scan sorted by (first, second), grouped by the first: a group's
+    first entry holds its least second, and the entries at that value
+    survive when it is below the second of every point with a smaller first.
     """
-    m = len(objectives)
-    order = sorted(range(m), key=lambda i: objectives[i])
+    order = sorted(range(len(objectives)), key=objectives.__getitem__)
     survivors = set()
     best_fn_before = math.inf
-    i = 0
-    while i < m:
-        j = i
-        tests_here = objectives[order[i]][0]
-        while j < m and objectives[order[j]][0] == tests_here:
-            j += 1
-        group = order[i:j]
-        group_min_fn = min(objectives[g][1] for g in group)
-        for g in group:
-            fn = objectives[g][1]
-            if fn == group_min_fn and fn < best_fn_before:
-                survivors.add(g)
-        best_fn_before = min(best_fn_before, group_min_fn)
-        i = j
+    for _, group in groupby(order, key=lambda i: objectives[i][0]):
+        group = list(group)
+        least_fn = objectives[group[0]][1]
+        if least_fn < best_fn_before:
+            survivors.update(i for i in group if objectives[i][1] == least_fn)
+            best_fn_before = least_fn
     return survivors
 
 
@@ -270,32 +262,32 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def write_sweep_csv(points: Iterable[ParetoPoint], path: str | Path) -> None:
     """Persist sweep points; floats carry 6 significant digits."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for pt in points:
-            writer.writerow(
-                [
-                    _fmt(pt.p),
-                    pt.kind.value,
-                    pt.config.n,
-                    pt.config.r,
-                    _fmt(pt.metrics.e_tests),
-                    _fmt(pt.metrics.e_fn),
-                    _fmt(pt.metrics.e_fp),
-                    _fmt(pt.relative_tests),
-                    _fmt(pt.relative_fn_increase),
-                    int(pt.dominated),
-                    int(pt.dominated_joint),
-                ]
-            )
+    rows = (
+        [
+            pt.p, pt.kind.value, pt.config.n, pt.config.r,
+            pt.metrics.e_tests, pt.metrics.e_fn, pt.metrics.e_fp,
+            pt.relative_tests, pt.relative_fn_increase,
+            int(pt.dominated), int(pt.dominated_joint),
+        ]
+        for pt in points
+    )
+    write_table(path, SWEEP_CSV_COLUMNS, rows)
+
+
+def _point_from_row(row: list[str]) -> ParetoPoint:
+    config = ProcedureConfig(kind=Procedure(row[1]), n=int(row[2]), r=int(row[3]))
+    metrics = Metrics(e_tests=float(row[4]), e_fn=float(row[5]), e_fp=float(row[6]))
+    return ParetoPoint(
+        p=float(row[0]),
+        config=config,
+        metrics=metrics,
+        relative_tests=float(row[7]),
+        relative_fn_increase=float(row[8]),
+        dominated=bool(int(row[9])),
+        dominated_joint=bool(int(row[10])),
+    )
 
 
 def read_sweep_csv(path: str | Path) -> tuple[ParetoPoint, ...]:
@@ -304,40 +296,4 @@ def read_sweep_csv(path: str | Path) -> tuple[ParetoPoint, ...]:
     Stage diagnostics are not persisted, so reloaded Metrics carry only the
     headline values; dominance flags come back as written, not recomputed.
     """
-    path = Path(path)
-    points = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected sweep header") from None
-        if header != SWEEP_CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(SWEEP_CSV_COLUMNS):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(SWEEP_CSV_COLUMNS)} columns, got {len(row)}"
-                )
-            try:
-                config = ProcedureConfig(
-                    kind=Procedure(row[1]), n=int(row[2]), r=int(row[3])
-                )
-                metrics = Metrics(
-                    e_tests=float(row[4]), e_fn=float(row[5]), e_fp=float(row[6])
-                )
-                point = ParetoPoint(
-                    p=float(row[0]),
-                    config=config,
-                    metrics=metrics,
-                    relative_tests=float(row[7]),
-                    relative_fn_increase=float(row[8]),
-                    dominated=bool(int(row[9])),
-                    dominated_joint=bool(int(row[10])),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            points.append(point)
-    return tuple(points)
+    return tuple(read_table(path, SWEEP_CSV_COLUMNS, _point_from_row))

@@ -260,11 +260,8 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
             short_row = _sensitivity_row(config.model, remainder)
             jobs.append(partial(pool_chunk, config, 1, remainder, short_row, len(jobs)))
 
-    if threads == 1:
-        parts = [job() for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: job(), jobs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(lambda job: job(), jobs))
 
     pool_tests, individual_tests, tp, fp, tn, fn = (sum(column) for column in zip(*parts))
     return SimResult(

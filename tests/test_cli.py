@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: output text, exit codes, artifacts."""
 
+import contextlib
+import io
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pooltest.cli as cli
 from pooltest import FitConvergenceError, __version__, read_sweep_csv
@@ -312,3 +317,118 @@ class TestGoldenOutputs:
             text = (out / golden.name).read_text()
             text = text.replace(str(tmp_path), "<tmp>").replace(f"pooltest {__version__}\n", "pooltest <version>\n")
             assert text == golden.read_text(), golden.name
+
+
+class TestNegativeFlagValues:
+    """fmt writes |x| < 1e-4 in scientific notation; such a negative value is a
+    flag's value, not a flag, so a record or a fit result replays as flags."""
+
+    BASE = ["evaluate", "--kind", "dorfman", "--n", "10", "--p", "0.01"]
+
+    @pytest.mark.parametrize("flag, value", [("--beta", "-1.2e-05"), ("--alpha", "-1e-3")])
+    def test_separate_value_matches_equals_form(self, capsys, flag, value):
+        assert main([*self.BASE, f"{flag}={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert main([*self.BASE, flag, value]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_record_replays(self, capsys, tmp_path):
+        assert main([*self.BASE, "--beta=-1.2e-05", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        pairs = _parse_pairs((tmp_path / "evaluate-run.txt").read_text())
+        del pairs["tool"]
+        assert pairs["beta"] == "-1.2e-05"
+        argv = [pairs.pop("command")]
+        for key, value in pairs.items():
+            argv += [f"--{key.replace('_', '-')}", value]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (tmp_path / "evaluate-result.txt").read_text()
+
+
+_TINY = st.floats(math.log(1e-12), math.log(0.5)).map(math.exp)
+_PREVALENCES = st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), _TINY, _TINY.map(lambda q: 1.0 - q))
+_POOL_SIZES = st.one_of(st.integers(2, 60), st.integers(2, 10_000))
+
+
+@st.composite
+def _model_flags(draw):
+    """The dilution-model flags over the accepted domain, floats written with repr."""
+    rate = st.floats(0.0, 1.0, exclude_min=True)
+    coefficient = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e308, 1e308))
+    return [
+        "--se-i", repr(draw(rate)), "--sp", repr(draw(rate)),
+        "--alpha", repr(draw(coefficient)), "--beta", repr(draw(coefficient)),
+        "--ratio-orientation", draw(st.sampled_from(["k-over-n", "n-over-k"])),
+        "--linear-term", draw(st.sampled_from(["pool-size", "positives"])),
+    ]
+
+
+@st.composite
+def _shape_flags(draw):
+    kind = draw(st.sampled_from(["individual", "dorfman", "modified"]))
+    flags = ["--kind", kind, "--p", repr(draw(_PREVALENCES))]
+    if kind != "individual":
+        flags += ["--n", str(draw(_POOL_SIZES))]
+    if kind == "modified":
+        flags += ["--r", str(draw(st.integers(1, 100)))]
+    return flags
+
+
+@st.composite
+def _grid_flags(draw):
+    n_min = draw(_POOL_SIZES)
+    r_min = draw(st.integers(1, 100))
+    flags = []
+    for p in draw(st.lists(_PREVALENCES, min_size=1, max_size=2)):
+        flags += ["--p", repr(p)]
+    return flags + [
+        "--n-min", str(n_min), "--n-max", str(min(n_min + draw(st.integers(0, 3)), 10_000)),
+        "--r-min", str(r_min), "--r-max", str(min(r_min + draw(st.integers(0, 2)), 100)),
+    ]
+
+
+def _run(argv):
+    """main(argv) with its exit code, stdout and stderr; it must not raise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "usage:" not in err.getvalue(), (argv, err.getvalue())
+    return code, out.getvalue()
+
+
+_DOMAIN = settings(
+    deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestMainOverTheDomain:
+    """main() over the accepted domain: it never raises, exits 0, 1 or 2, and
+    takes every in-domain value as given, without a usage error."""
+
+    @settings(_DOMAIN, max_examples=50)
+    @given(_shape_flags(), _model_flags())
+    def test_evaluate(self, shape, model):
+        code, out = _run(["evaluate", *shape, *model])
+        if code == 0:
+            for key, value in _parse_pairs(out).items():
+                assert math.isfinite(float(value)), (key, value)
+                if key.startswith("posterior"):
+                    assert 0.0 <= float(value) <= 1.0, (key, value)
+
+    @settings(_DOMAIN, max_examples=20)
+    @given(_shape_flags(), _model_flags(), st.integers(1, 30_000), st.integers(0, 2**63), st.integers(1, 3))
+    def test_simulate(self, shape, model, subjects, seed, threads):
+        _run([
+            "simulate", *shape, *model,
+            "--subjects", str(subjects), "--seed", str(seed), "--threads", str(threads),
+        ])
+
+    @settings(_DOMAIN, max_examples=10)
+    @given(_grid_flags(), _model_flags())
+    def test_sweep_and_tables(self, tmp_path, grid, model):
+        code, _ = _run(["sweep", *grid, *model, "--out", str(tmp_path / "sweep")])
+        if code == 0:
+            _run(["tables", "--sweep-csv", str(tmp_path / "sweep" / "sweep.csv"), "--out", str(tmp_path / "csv")])
+        _run(["tables", *grid, *model, "--out", str(tmp_path / "memory")])
