@@ -43,6 +43,7 @@ from .evaluate import (
     posterior_given_negative_pool,
     posterior_given_positive_pool,
 )
+from .kernels import pool_outcomes
 from .pareto import (
     DEFAULT_SWEEP_PREVALENCES,
     FN_INCREASE_CAPS,
@@ -200,11 +201,14 @@ def _emit(args: argparse.Namespace, pairs: list[tuple[str, object]], **resolved)
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     config = ProcedureConfig(kind=Procedure(args.kind), n=args.n, r=args.r)
-    metrics = evaluate(model, args.p, config)
+    pooled = config.kind is not Procedure.INDIVIDUAL
+    # One kernel call serves the metrics and both posteriors.
+    outcomes = pool_outcomes(model, config.n, args.p, model.kit.sp, config.r) if pooled else None
+    metrics = evaluate(model, args.p, config, outcomes)
     # The optional stage diagnostics only when present.
     pairs = [(name, value) for name, value in asdict(metrics).items() if value is not None]
-    if config.kind is not Procedure.INDIVIDUAL:
-        shape = (model, args.p, config.n, config.r)
+    if pooled:
+        shape = (model, args.p, config.n, config.r, outcomes)
         pairs.append(("posterior_given_negative_pool", posterior_given_negative_pool(*shape)))
         pairs.append(("posterior_given_positive_pool", posterior_given_positive_pool(*shape)))
     return _emit(args, pairs)

@@ -19,6 +19,7 @@ subject-level error rates into sums over the reduced pmf row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -43,6 +44,7 @@ __all__ = [
     "eval_individual",
     "eval_dorfman",
     "eval_modified",
+    "pooled_metrics",
     "evaluate",
     "posterior_given_negative_pool",
     "posterior_given_positive_pool",
@@ -107,14 +109,14 @@ class Metrics:
     e_fn_individual_stage: float | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:  # an optional stage diagnostic
+        for name, optional in _METRIC_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:  # an optional stage diagnostic
                 continue
             value = float(value)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{f.name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, f.name, value)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.e_tests_individual_stage is not None:
             if self.e_tests_individual_stage > self.e_tests + 1e-12:
                 raise ValueError(
@@ -127,6 +129,10 @@ class Metrics:
                 raise ValueError(
                     f"stage false negatives {total} do not add up to e_fn {self.e_fn}"
                 )
+
+
+# (name, optional) of each Metrics field, taken once rather than per instance.
+_METRIC_FIELDS = tuple((f.name, f.default is None) for f in fields(Metrics))
 
 
 def eval_individual(kit: TestKit, p: float) -> Metrics:
@@ -146,38 +152,51 @@ def eval_individual(kit: TestKit, p: float) -> Metrics:
     )
 
 
-def _pooled_metrics(
-    model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None
-) -> Metrics:
-    """Shared dorfman / modified computation; dorfman is the r = 1 case."""
-    kit = model.kit
-    if outcomes is None:
-        outcomes = pool_outcomes(model, n, p, kit.sp, r)
-    elif (outcomes.n, outcomes.p, outcomes.sp) != (n, p, kit.sp) or r >= len(outcomes.extra_reads):
-        raise ValueError(f"pool outcomes do not cover n={n}, p={p}, sp={kit.sp}, r={r}")
-    p_declared_pos = outcomes.p_declared_pos[r]
+def pooled_metrics(kit: TestKit, outcomes: PoolOutcomes) -> tuple[np.ndarray, ...]:
+    """Dorfman / modified metrics over every entry of outcomes, in Metrics field order.
+
+    Each array has the shape of the outcome arrays, indexed [p, n, r] as they
+    are; entry r is the procedure with up to r pool reads, so r = 1 is dorfman.
+    """
+    # n broadcasts over the r axis, p over the n and r axes.
+    n = np.array(outcomes.n)[..., None]
+    p = np.array(outcomes.p)
+    p = p.reshape(p.shape + (1,) * n.ndim)
+    p_declared_pos = outcomes.p_declared_pos
 
     # A positive subject is missed either because its pool never reads
     # positive, or because the follow-up individual test misses it.
-    e_fn_pool = p * outcomes.missed_share[r]
-    e_fn_individual = p * (1.0 - kit.se_i) * outcomes.detected_share[r]
+    e_fn_pool = p * outcomes.missed_share
+    e_fn_individual = p * (1.0 - kit.se_i) * outcomes.detected_share
 
     # A negative subject is falsely flagged only in the individual stage, so
     # its pool must read positive first.
-    e_fp = (1.0 - kit.sp) * (1.0 - p) * outcomes.false_alarm_share[r]
+    e_fp = (1.0 - kit.sp) * (1.0 - p) * outcomes.false_alarm_share
 
     # Pool tests per subject: the first read always happens, later ones only
     # after negative reads.
-    e_tests = (1.0 + outcomes.extra_reads[r]) / n + p_declared_pos
+    e_tests = (1.0 + outcomes.extra_reads) / n + p_declared_pos
 
-    return Metrics(
-        e_tests=e_tests,
-        e_fn=e_fn_pool + e_fn_individual,
-        e_fp=e_fp,
-        e_tests_individual_stage=p_declared_pos,
-        e_fn_pool_stage=e_fn_pool,
-        e_fn_individual_stage=e_fn_individual,
-    )
+    return e_tests, e_fn_pool + e_fn_individual, e_fp, p_declared_pos, e_fn_pool, e_fn_individual
+
+
+def _covering_outcomes(
+    model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None
+) -> PoolOutcomes:
+    """outcomes when it is pool_outcomes of this model, n, p and an r_max >= r;
+    a fresh kernel call when it is None."""
+    if outcomes is None:
+        return pool_outcomes(model, n, p, model.kit.sp, r)
+    if (outcomes.n, outcomes.p, outcomes.sp) != (n, p, model.kit.sp) or r >= len(outcomes.extra_reads):
+        raise ValueError(f"pool outcomes do not cover n={n}, p={p}, sp={model.kit.sp}, r={r}")
+    return outcomes
+
+
+def _pooled_point(
+    model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None
+) -> Metrics:
+    outcomes = _covering_outcomes(model, p, n, r, outcomes)
+    return Metrics(*(values[r] for values in pooled_metrics(model.kit, outcomes)))
 
 
 def eval_dorfman(
@@ -186,11 +205,11 @@ def eval_dorfman(
     """Metrics for classic two-stage pooling: one pool test, no retests.
 
     outcomes, when given, is pool_outcomes of this model, n and p for any
-    r_max; a sweep computes it once per (p, n) and serves every r from it.
+    r_max, so that one kernel call serves every r and the posteriors.
     """
     p = check_prevalence(p)
     n = check_pool_size(n, minimum=2)
-    return _pooled_metrics(model, p, n, 1, outcomes)
+    return _pooled_point(model, p, n, 1, outcomes)
 
 
 def eval_modified(
@@ -203,25 +222,33 @@ def eval_modified(
     p = check_prevalence(p)
     n = check_pool_size(n, minimum=2)
     r = check_retest_count(r)
-    return _pooled_metrics(model, p, n, r, outcomes)
+    return _pooled_point(model, p, n, r, outcomes)
 
 
-def evaluate(model: DilutionModel, p: float, config: ProcedureConfig) -> Metrics:
-    """Dispatch to the evaluator matching config.kind."""
+def evaluate(
+    model: DilutionModel, p: float, config: ProcedureConfig, outcomes: PoolOutcomes | None = None
+) -> Metrics:
+    """Dispatch to the evaluator matching config.kind; outcomes works as in
+    eval_modified and is not used for individual testing."""
     if config.kind is Procedure.INDIVIDUAL:
         return eval_individual(model.kit, p)
     if config.kind is Procedure.DORFMAN:
-        return eval_dorfman(model, p, config.n)
-    return eval_modified(model, p, config.n, config.r)
+        return eval_dorfman(model, p, config.n, outcomes)
+    return eval_modified(model, p, config.n, config.r, outcomes)
 
 
 def _posterior(
-    model: DilutionModel, p: float, n: int, r: int, declared_positive: bool
+    model: DilutionModel,
+    p: float,
+    n: int,
+    r: int,
+    outcomes: PoolOutcomes | None,
+    declared_positive: bool,
 ) -> float:
     p = check_prevalence(p)
     n = check_pool_size(n, minimum=2)
     r = check_retest_count(r)
-    outcomes = pool_outcomes(model, n, p, model.kit.sp, r)
+    outcomes = _covering_outcomes(model, p, n, r, outcomes)
     if declared_positive:
         share, event = outcomes.detected_share[r], outcomes.p_declared_pos[r]
     else:
@@ -237,24 +264,24 @@ def _posterior(
 
 
 def posterior_given_negative_pool(
-    model: DilutionModel, p: float, n: int, r: int = 1
+    model: DilutionModel, p: float, n: int, r: int = 1, outcomes: PoolOutcomes | None = None
 ) -> float:
     """P(subject positive | its pool was declared negative).
 
     This is the per-subject leakage of the pool stage; with no dilution and a
     perfect kit it would be zero. Raises ValueError when a pool is never
-    declared negative.
+    declared negative. outcomes works as in eval_modified.
     """
-    return _posterior(model, p, n, r, declared_positive=False)
+    return _posterior(model, p, n, r, outcomes, declared_positive=False)
 
 
 def posterior_given_positive_pool(
-    model: DilutionModel, p: float, n: int, r: int = 1
+    model: DilutionModel, p: float, n: int, r: int = 1, outcomes: PoolOutcomes | None = None
 ) -> float:
     """P(subject positive | its pool was declared positive).
 
     Raises ValueError when a pool is never declared positive, as with pools
     so large that the dilution curve reads 0 and the clean-pool chance
-    underflows.
+    underflows. outcomes works as in eval_modified.
     """
-    return _posterior(model, p, n, r, declared_positive=True)
+    return _posterior(model, p, n, r, outcomes, declared_positive=True)

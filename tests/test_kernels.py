@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pooltest import bateman_fit_model, pool_test_outcome_probs
+from pooltest import bateman_fit_model, kernels, pool_test_outcome_probs
 from pooltest.kernels import (
     PoolOutcomes,
     binomial_pmf_row,
@@ -93,12 +93,23 @@ class TestBinomialPmf:
             exact = exact_binomial_pmf(k, 12, Fraction(1, 5))
             np.testing.assert_allclose(row[k], float(exact), rtol=1e-13)
 
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.013, 0.5, 1.0 - 1e-12, 1.0])
+    def test_rows_of_many_sizes_are_the_per_size_rows_zero_padded(self, p):
+        sizes = np.array([7, 0, 130, 1, 64])
+        rows = binomial_pmf_row(sizes, p)
+        assert rows.shape == (5, 131)
+        for row, size in zip(rows, sizes.tolist()):
+            np.testing.assert_array_equal(row[: size + 1], binomial_pmf_row(size, p))
+            assert not row[size + 1 :].any()
+
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n must be"):
             binomial_pmf_row(-2, 0.5)
         for bad in (2.5, *NON_FINITE):
             with pytest.raises(ValueError, match="n must be"):
                 binomial_pmf_row(bad, 0.5)
+            with pytest.raises(ValueError, match="n must be"):
+                binomial_pmf_row(np.array([3.0, bad]), 0.5)
         with pytest.raises(ValueError, match="p must lie"):
             binomial_pmf_row(5, 1.5)
         with pytest.raises(ValueError, match="p must lie"):
@@ -298,6 +309,36 @@ class TestPoolOutcomes:
         # positive mates, present with chance 1 - 0.8**2 = 0.36.
         np.testing.assert_allclose(constant.detected_share, [0.0, 0.5, 0.75], rtol=1e-15)
         np.testing.assert_allclose(constant.false_alarm_share, [0.0, 0.18, 0.27], rtol=1e-14)
+
+    def test_many_sizes_in_chunks_match_per_size_calls(self, monkeypatch):
+        """Under a small tensor cap the sizes split into several chunks, each
+        padded to its largest size; every entry must match the length-1 call
+        for its own (n, p), at r_max = 100 and at prevalences 1e-12 from 0
+        and from 1."""
+        monkeypatch.setattr(kernels, "TENSOR_BYTES", 200_000)
+        model = bateman_fit_model()
+        sizes = [41, 2, 97, 13, 5, 40, 8, 3, 120]
+        prevalences = [1e-12, 0.02, 1.0 - 1e-12]
+        chunks = [sorted(sizes)[chunk] for chunk in kernels._size_chunks(sorted(sizes), 101)]
+        assert len(chunks) > 2 and sum(chunks, []) == sorted(sizes)
+        for chunk in chunks:
+            assert len(chunk) == 1 or len(chunk) * 2 * 101 * (chunk[-1] + 1) * 8 <= 200_000
+        grid = pool_outcomes(model, sizes, prevalences, model.kit.sp, 100)
+        assert (grid.n, grid.p) == (tuple(sizes), tuple(prevalences))
+        for i, p in enumerate(prevalences):
+            for j, n in enumerate(sizes):
+                single = pool_outcomes(model, n, p, model.kit.sp, 100)
+                for name in PoolOutcomes._fields[3:]:
+                    np.testing.assert_allclose(
+                        getattr(grid, name)[i, j], getattr(single, name),
+                        rtol=1e-13, atol=0, err_msg=f"{name} at n={n}, p={p}",
+                    )
+
+    def test_axes_follow_the_shapes_of_n_and_p(self):
+        model = bateman_fit_model()
+        assert pool_outcomes(model, [4, 6], 0.1, 0.99, 3).missed_share.shape == (2, 4)
+        assert pool_outcomes(model, 4, [0.1, 0.2, 0.3], 0.99, 3).missed_share.shape == (3, 4)
+        assert pool_outcomes(model, 4, 0.1, 0.99, 3).missed_share.shape == (4,)
 
     def test_domain_errors(self):
         model = bateman_fit_model()

@@ -1,5 +1,7 @@
 """Sweep construction, dominance filtering, summaries, and CSV persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pooltest import (
     sweep,
     write_sweep_csv,
 )
+from pooltest.kernels import TENSOR_BYTES
 from pooltest.pareto import _non_dominated_indices
 
 from _oracles import brute_force_front
@@ -152,6 +155,22 @@ class TestSweep:
                 idx = [i for i, pt in enumerate(at_p) if pt.kind is kind]
                 front = brute_force_front([objectives[i] for i in idx])
                 assert {idx[j] for j in front} == {i for i in idx if not at_p[i].dominated}
+
+    def test_memory_stays_near_the_tensor_cap_at_the_largest_pools(self):
+        """Padded to n = 10,000 at r = 100, one size's miss tensor and its
+        complement take 16 MB, so the sweep must take its sizes in chunks and
+        hold one chunk's tensor at a time; numpy reports its buffers to
+        tracemalloc."""
+        spec = SweepSpec((0.01,), (9_990, 10_000), (1, 100))
+        tracemalloc.start()
+        try:
+            points = sweep(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 1 + 11 + 11 * 100
+        one_size = 2 * 101 * 10_001 * 8
+        assert one_size < peak < 1.5 * TENSOR_BYTES
 
     def test_joint_front_prefers_retesting_on_misses(self, small_sweep):
         """Any single-read pooled point is matched or beaten on false
