@@ -324,6 +324,14 @@ class TestGoldenOutputs:
             "simulate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.05",
             "--subjects", "1003", "--seed", "5", "--threads", "2",
         ],
+        # Past one chunk of 2**20 subjects: these pin the chunk layout.
+        "simulate-individual-chunks": [
+            "simulate", "--kind", "individual", "--p", "0.02", "--subjects", "2500000", "--seed", "3",
+        ],
+        "simulate-pooled-chunks": [
+            "simulate", "--kind", "dorfman", "--n", "7", "--p", "0.02",
+            "--subjects", "2500003", "--seed", "3", "--threads", "2",
+        ],
         "sweep": ["sweep", *SMALL_GRID],
         "fit-builtin": ["fit"],
         "fit-data": ["fit", "--fit-data", "<tmp>/obs.csv"],
