@@ -311,6 +311,13 @@ def _add_sweep_range_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r-max", type=int, default=5, help="largest retest budget (default 5)")
 
 
+def _add_run_arguments(parser: argparse.ArgumentParser, subjects: str, seed: int, seed_help: str) -> None:
+    """The simulation flags: population, seed and thread count."""
+    parser.add_argument("--subjects", type=int, default=DESK_SCALE_SUBJECTS, help=f"{subjects} (default {DESK_SCALE_SUBJECTS})")
+    parser.add_argument("--seed", type=int, default=seed, help=f"{seed_help} (default {seed})")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pooltest", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"pooltest {__version__}")
@@ -325,9 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("simulate", help="Monte Carlo run for one configuration")
     _add_shape_arguments(cmd)
     _add_model_arguments(cmd)
-    cmd.add_argument("--subjects", type=int, default=DESK_SCALE_SUBJECTS, help=f"population size (default {DESK_SCALE_SUBJECTS})")
-    cmd.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
-    cmd.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    _add_run_arguments(cmd, "population size", 0, "stream seed")
     cmd.add_argument("--out", help="directory for result file and run record")
     cmd.set_defaults(handler=_cmd_simulate)
 
@@ -345,9 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("verify", help="compare simulation to the closed forms")
     _add_model_arguments(cmd)
-    cmd.add_argument("--subjects", type=int, default=DESK_SCALE_SUBJECTS, help=f"population per config (default {DESK_SCALE_SUBJECTS})")
-    cmd.add_argument("--seed", type=int, default=20240801, help="base seed (default 20240801)")
-    cmd.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    _add_run_arguments(cmd, "population per config", 20240801, "base seed")
     cmd.add_argument("--out", help="directory for verification.csv and run record")
     cmd.set_defaults(handler=_cmd_verify)
 
@@ -361,9 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parse_args leaves it unchanged.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -86,16 +86,10 @@ class DilutionModel:
     linear_term: str = LINEAR_POOL_SIZE
 
     def __post_init__(self) -> None:
-        if self.ratio_orientation not in RATIO_ORIENTATIONS:
-            raise ValueError(
-                f"ratio_orientation must be one of {sorted(RATIO_ORIENTATIONS)}, "
-                f"got {self.ratio_orientation!r}"
-            )
-        if self.linear_term not in LINEAR_TERMS:
-            raise ValueError(
-                f"linear_term must be one of {sorted(LINEAR_TERMS)}, "
-                f"got {self.linear_term!r}"
-            )
+        for name, choices in (("ratio_orientation", RATIO_ORIENTATIONS), ("linear_term", LINEAR_TERMS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"{name} must be one of {sorted(choices)}, got {value!r}")
         for name in ("alpha", "beta"):
             value = float(getattr(self, name))
             if not math.isfinite(value):

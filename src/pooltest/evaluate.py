@@ -187,16 +187,10 @@ def _covering_outcomes(
     a fresh kernel call when it is None."""
     if outcomes is None:
         return pool_outcomes(model, n, p, model.kit.sp, r)
-    if (outcomes.n, outcomes.p, outcomes.sp) != (n, p, model.kit.sp) or r >= len(outcomes.extra_reads):
+    covered = (outcomes.model, outcomes.n, outcomes.p, outcomes.sp) == (model, n, p, model.kit.sp)
+    if not covered or r >= len(outcomes.extra_reads):
         raise ValueError(f"pool outcomes do not cover n={n}, p={p}, sp={model.kit.sp}, r={r}")
     return outcomes
-
-
-def _pooled_point(
-    model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None
-) -> Metrics:
-    outcomes = _covering_outcomes(model, p, n, r, outcomes)
-    return Metrics(*(values[r] for values in pooled_metrics(model.kit, outcomes)))
 
 
 def eval_dorfman(
@@ -204,12 +198,9 @@ def eval_dorfman(
 ) -> Metrics:
     """Metrics for classic two-stage pooling: one pool test, no retests.
 
-    outcomes, when given, is pool_outcomes of this model, n and p for any
-    r_max, so that one kernel call serves every r and the posteriors.
+    outcomes works as in eval_modified, with any r_max.
     """
-    p = check_prevalence(p)
-    n = check_pool_size(n, minimum=2)
-    return _pooled_point(model, p, n, 1, outcomes)
+    return eval_modified(model, p, n, 1, outcomes)
 
 
 def eval_modified(
@@ -217,12 +208,14 @@ def eval_modified(
 ) -> Metrics:
     """Metrics for pooling with up to r pool tests, early-stopped on a positive.
 
-    outcomes works as in eval_dorfman, with r_max >= r.
+    outcomes, when given, is pool_outcomes of this model, n and p for an
+    r_max >= r, so that one kernel call serves every r and the posteriors.
     """
     p = check_prevalence(p)
     n = check_pool_size(n, minimum=2)
     r = check_retest_count(r)
-    return _pooled_point(model, p, n, r, outcomes)
+    outcomes = _covering_outcomes(model, p, n, r, outcomes)
+    return Metrics(*(values[r] for values in pooled_metrics(model.kit, outcomes)))
 
 
 def evaluate(

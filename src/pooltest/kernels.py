@@ -76,59 +76,55 @@ def is_whole(value) -> bool:
         return False
 
 
+def _check_count(value, what: str, minimum: int, maximum: int) -> int:
+    if not is_whole(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if not minimum <= value <= maximum:
+        raise ValueError(f"{what} must lie in [{minimum}, {maximum}], got {value}")
+    return value
+
+
 def check_pool_size(n: int, *, minimum: int = 1) -> int:
     """Validate a pool size, returning it as an int."""
-    if not is_whole(n):
-        raise ValueError(f"pool size must be an integer, got {n!r}")
-    n = int(n)
-    if not minimum <= n <= MAX_POOL_SIZE:
-        raise ValueError(f"pool size must lie in [{minimum}, {MAX_POOL_SIZE}], got {n}")
-    return n
+    return _check_count(n, "pool size", minimum, MAX_POOL_SIZE)
 
 
 def check_retest_count(r: int, *, minimum: int = 1) -> int:
     """Validate a total pool-test count, returning it as an int."""
-    if not is_whole(r):
-        raise ValueError(f"retest count must be an integer, got {r!r}")
-    r = int(r)
-    if not minimum <= r <= MAX_RETESTS:
-        raise ValueError(f"retest count must lie in [{minimum}, {MAX_RETESTS}], got {r}")
-    return r
+    return _check_count(r, "retest count", minimum, MAX_RETESTS)
 
 
 def binomial_pmf_row(n, p: float) -> np.ndarray:
     """The whole pmf row [P(K=0), ..., P(K=n)] for K ~ Binomial(n, p).
 
-    For an integer array of sizes n, one row per size from one scipy call,
-    zero-padded to the longest: the shape is n.shape + (max(n) + 1,).
+    n is an int or an integer array, never a float. For an array of sizes,
+    one row per size from one scipy call, zero-padded to the longest: the
+    shape is n.shape + (max(n) + 1,).
     """
     sizes = np.asarray(n)
-    if sizes.dtype.kind == "f" and np.isfinite(sizes).all() and (sizes % 1 == 0).all():
-        sizes = sizes.astype(np.int64)
     if sizes.dtype.kind not in "iu" or (sizes < 0).any():
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    k = np.arange(sizes.max(initial=0) + 1)
-    if p == 0.0 or p == 1.0:  # all the mass on K = 0 or on K = n
-        mode = sizes if p == 1.0 else np.zeros_like(sizes)
-        return (k == mode[..., None]).astype(float)
-    return stats.binom.pmf(k, sizes[..., None], p)
+    return stats.binom.pmf(np.arange(sizes.max(initial=0) + 1), sizes[..., None], p)
 
 
 class PoolOutcomes(NamedTuple):
     """Pool-read probabilities of one model and sp over pool sizes n and prevalences p.
 
-    n and p are each a scalar or a tuple. Each array is indexed [p, n, r],
-    with no axis for a scalar n or p, and r_max + 1 entries along r. Entry r
-    holds the value for a pool read up to r times, stopping at the first
-    positive read; entry 0 (no read at all) is kept so that r indexes
-    directly. A given positive subject's pool is declared positive or
-    negative with the detected and missed shares, a given negative subject's
-    pool positive with the false-alarm share.
+    model is the sensitivity model the kernel was given. n and p are each a
+    scalar or a tuple. Each array is indexed [p, n, r], with no axis for a
+    scalar n or p, and r_max + 1 entries along r. Entry r holds the value for
+    a pool read up to r times, stopping at the first positive read; entry 0
+    (no read at all) is kept so that r indexes directly. A given positive
+    subject's pool is declared positive or negative with the detected and
+    missed shares, a given negative subject's pool positive with the
+    false-alarm share.
     """
 
+    model: SensitivityModel
     n: int | tuple[int, ...]
     p: float | tuple[float, ...]
     sp: float
@@ -215,7 +211,7 @@ def pool_outcomes(model: SensitivityModel, n, p, sp: float, r_max: int) -> PoolO
     extra_reads[..., 2:] = np.cumsum(neg[..., 1:-1], axis=-1)
     n = tuple(sizes) if n_array.ndim else sizes[0]
     p = tuple(prevalences) if p_array.ndim else prevalences[0]
-    return PoolOutcomes(n, p, sp, pos, neg, detected, missed, false_alarm, extra_reads)
+    return PoolOutcomes(model, n, p, sp, pos, neg, detected, missed, false_alarm, extra_reads)
 
 
 def pool_test_outcome_probs(

@@ -2,10 +2,12 @@
 
 Subjects are grouped into consecutive pools of n; the leftover subjects at
 the end form one final short pool of their actual size, with sensitivity
-evaluated at that size. Work is split into fixed-size chunks of whole pools,
-and every chunk draws from its own counter-based stream seeded by
-(seed, chunk_index). Because chunk streams are independent and results are
-reduced by integer addition, the outcome is identical for any thread count.
+evaluated at that size. Individual testing runs as pools of one subject,
+which are never pool-tested, so every procedure has the same layout. Work
+is split into fixed-size chunks of whole pools, and every chunk draws from
+its own counter-based stream seeded by (seed, chunk_index). Because chunk
+streams are independent and results are reduced by integer addition, the
+outcome is identical for any thread count.
 
 simulate() runs one of two engines over the same chunks and streams; within
 a chunk each has a fixed draw order.
@@ -15,7 +17,7 @@ a chunk each has a fixed draw order.
   pool against Se(n, k), then, for the pools declared positive only,
   TP ~ Binomial(k, Se_I) and FP ~ Binomial(n - k, 1 - Sp) per pool. FN is
   the chunk's positives less TP, and TN the rest. An individual chunk makes
-  three draws: its positives ~ Binomial(count, p), then TP and FP as above.
+  three draws: its positives ~ Binomial(pools, p), then TP and FP as above.
 - The per-subject engine (per_subject=True), the reference that verify
   runs, draws per subject: subject statuses first, then r pool reads per
   pool, then one individual read per subject, all consumed whether or not
@@ -35,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .dilution import DilutionModel
+from .dilution import DilutionModel, TestKit
 from .evaluate import Metrics, Procedure, ProcedureConfig, evaluate
 from .kernels import check_prevalence, is_whole
 
@@ -138,28 +140,33 @@ def _sensitivity_row(model: DilutionModel, n: int) -> np.ndarray:
     return np.concatenate(([1.0 - model.kit.sp], np.broadcast_to(model.sensitivity(n, k), k.shape)))
 
 
-def _run_individual_chunk(config: SimConfig, count: int, chunk_index: int):
-    """Per-subject reference: a status and a read for each of `count` subjects."""
-    rng = _chunk_rng(config.seed, chunk_index)
-    kit = config.model.kit
-    status = rng.random(count) < config.p
-    reads = rng.random(count)
-    positive_read = reads < np.where(status, kit.se_i, 1.0 - kit.sp)
-    tp = int(np.count_nonzero(status & positive_read))
-    fp = int(np.count_nonzero(~status & positive_read))
-    fn = int(np.count_nonzero(status & ~positive_read))
-    tn = count - tp - fp - fn
-    return 0, count, tp, fp, tn, fn
+def _read_individuals(rng: np.random.Generator, kit: TestKit, status: np.ndarray, tested):
+    """One individual read per subject; a subject is classified positive when
+    it was tested and its read came back positive. Returns (TP, FP, TN, FN)."""
+    reads = rng.random(status.shape)
+    positive = (reads < np.where(status, kit.se_i, 1.0 - kit.sp)) & tested
+    tp = int(np.count_nonzero(status & positive))
+    fp = int(np.count_nonzero(~status & positive))
+    fn = int(np.count_nonzero(status & ~positive))
+    return tp, fp, status.size - tp - fp - fn, fn
 
 
-def _count_individual_chunk(config: SimConfig, count: int, chunk_index: int):
-    """`count` subjects tested once each, in three binomial draws."""
+def _run_individual_chunk(config: SimConfig, pools: int, pool_size: int, se_row: np.ndarray, chunk_index: int):
+    """Per-subject reference: a status and a read for each subject of `pools`
+    pools of one, one chunk, one stream; se_row is unused."""
+    rng = _chunk_rng(config.seed, chunk_index)
+    status = rng.random(pools) < config.p
+    return (0, pools, *_read_individuals(rng, config.model.kit, status, True))
+
+
+def _count_individual_chunk(config: SimConfig, pools: int, pool_size: int, se_row: np.ndarray, chunk_index: int):
+    """`pools` subjects tested once each, in three binomial draws; se_row is unused."""
     rng = _chunk_rng(config.seed, chunk_index)
     kit = config.model.kit
-    positives = int(rng.binomial(count, config.p))
+    positives = int(rng.binomial(pools, config.p))
     tp = int(rng.binomial(positives, kit.se_i))
-    fp = int(rng.binomial(count - positives, 1.0 - kit.sp))
-    return 0, count, tp, fp, count - positives - fp, positives - tp
+    fp = int(rng.binomial(pools - positives, 1.0 - kit.sp))
+    return 0, pools, tp, fp, pools - positives - fp, positives - tp
 
 
 def _read_pools(rng: np.random.Generator, read_prob: np.ndarray, r: int):
@@ -183,23 +190,13 @@ def _run_pool_chunk(
 ):
     """Per-subject reference: `pools` pools of `pool_size`, one chunk, one stream."""
     rng = _chunk_rng(config.seed, chunk_index)
-    kit = config.model.kit
-
     status = rng.random((pools, pool_size)) < config.p
     declared_positive, pool_tests = _read_pools(
         rng, se_row[status.sum(axis=1)], config.procedure.r
     )
-
-    individual_reads = rng.random((pools, pool_size))
-    read_hit = individual_reads < np.where(status, kit.se_i, 1.0 - kit.sp)
-    classified_positive = read_hit & declared_positive[:, None]
-
-    tp = int(np.count_nonzero(status & classified_positive))
-    fp = int(np.count_nonzero(~status & classified_positive))
-    fn = int(np.count_nonzero(status & ~classified_positive))
-    tn = pools * pool_size - tp - fp - fn
     individual_tests = pool_size * int(np.count_nonzero(declared_positive))
-    return pool_tests, individual_tests, tp, fp, tn, fn
+    classified = _read_individuals(rng, config.model.kit, status, declared_positive[:, None])
+    return (pool_tests, individual_tests, *classified)
 
 
 def _count_pool_chunk(
@@ -234,31 +231,24 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
     threads = int(threads)
-    individual_chunk, pool_chunk = (
-        (_run_individual_chunk, _run_pool_chunk)
-        if per_subject
-        else (_count_individual_chunk, _count_pool_chunk)
-    )
-
     if config.procedure.kind is Procedure.INDIVIDUAL:
-        chunk = _CHUNK_SUBJECT_TARGET
-        jobs = [
-            partial(individual_chunk, config, min(chunk, config.subjects - start), ci)
-            for ci, start in enumerate(range(0, config.subjects, chunk))
-        ]
+        chunk = _run_individual_chunk if per_subject else _count_individual_chunk
     else:
-        n = config.procedure.n
-        full_pools = config.subjects // n
-        remainder = config.subjects % n
-        pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n)
-        se_row = _sensitivity_row(config.model, n)
-        jobs = [
-            partial(pool_chunk, config, min(pools_per_chunk, full_pools - start), n, se_row, ci)
-            for ci, start in enumerate(range(0, full_pools, pools_per_chunk))
-        ]
-        if remainder:
-            short_row = _sensitivity_row(config.model, remainder)
-            jobs.append(partial(pool_chunk, config, 1, remainder, short_row, len(jobs)))
+        chunk = _run_pool_chunk if per_subject else _count_pool_chunk
+
+    # Individual testing is pools of one, whose remainder is always empty.
+    n = config.procedure.n
+    full_pools, remainder = divmod(config.subjects, n)
+    pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n)
+    # The Se rows are built here, in the calling thread; workers run chunks only.
+    se_row = _sensitivity_row(config.model, n)
+    jobs = [
+        partial(chunk, config, min(pools_per_chunk, full_pools - start), n, se_row, ci)
+        for ci, start in enumerate(range(0, full_pools, pools_per_chunk))
+    ]
+    if remainder:
+        short_row = _sensitivity_row(config.model, remainder)
+        jobs.append(partial(chunk, config, 1, remainder, short_row, len(jobs)))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(lambda job: job(), jobs))

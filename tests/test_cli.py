@@ -170,6 +170,16 @@ class TestSweepCommand:
         assert main(["sweep", *self.GRID]) == 1
         capsys.readouterr()
 
+    def test_calls_in_one_process_record_only_their_own_prevalences(self, capsys, tmp_path):
+        """The parser is shared by every main() call; appended --p lists are not."""
+        grid = ["--n-min", "2", "--n-max", "3", "--r-min", "2", "--r-max", "2"]
+        assert main(["sweep", "--p", "0.01", "--p", "0.02", *grid, "--out", str(tmp_path / "a")]) == 0
+        assert main(["sweep", "--p", "0.05", *grid, "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert "p_values = 0.01,0.02\n" in (tmp_path / "a" / "sweep-run.txt").read_text()
+        assert "p_values = 0.05\n" in (tmp_path / "b" / "sweep-run.txt").read_text()
+        assert {pt.p for pt in read_sweep_csv(tmp_path / "b" / "sweep.csv")} == {0.05}
+
 
 class TestFitCommand:
     def test_builtin_points(self, capsys):

@@ -1,6 +1,7 @@
 """Closed-form evaluators against exhaustive enumeration and the lemma suite."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -299,9 +300,12 @@ class TestBatchedOutcomes:
         for args in ((0.01, 11, 2), (0.02, 10, 2), (0.01, 10, 4)):
             with pytest.raises(ValueError, match="pool outcomes do not cover"):
                 eval_modified(model, *args, outcomes)
-        other_kit = DilutionModel(kit=TestKit(se_i=0.99, sp=0.95))
-        with pytest.raises(ValueError, match="pool outcomes do not cover"):
-            eval_dorfman(other_kit, 0.01, 10, outcomes)
+        # Another kit, or another dilution curve over the same kit.
+        for other in (DilutionModel(kit=TestKit(se_i=0.99, sp=0.95)), replace(model, alpha=0.5, beta=0.0)):
+            with pytest.raises(ValueError, match="pool outcomes do not cover"):
+                eval_dorfman(other, 0.01, 10, outcomes)
+            with pytest.raises(ValueError, match="pool outcomes do not cover"):
+                eval_modified(other, 0.01, 10, 3, outcomes)
         for posterior in (posterior_given_negative_pool, posterior_given_positive_pool):
             assert posterior(model, 0.01, 10, 3, outcomes) == posterior(model, 0.01, 10, 3)
             with pytest.raises(ValueError, match="pool outcomes do not cover"):

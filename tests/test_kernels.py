@@ -105,11 +105,11 @@ class TestBinomialPmf:
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n must be"):
             binomial_pmf_row(-2, 0.5)
-        for bad in (2.5, *NON_FINITE):
+        for bad in (2.5, 5.0, np.array([3.0, 4.0]), *NON_FINITE):
             with pytest.raises(ValueError, match="n must be"):
                 binomial_pmf_row(bad, 0.5)
             with pytest.raises(ValueError, match="n must be"):
-                binomial_pmf_row(np.array([3.0, bad]), 0.5)
+                binomial_pmf_row(np.append(3.0, bad), 0.5)
         with pytest.raises(ValueError, match="p must lie"):
             binomial_pmf_row(5, 1.5)
         with pytest.raises(ValueError, match="p must lie"):
@@ -302,7 +302,7 @@ class TestPoolOutcomes:
         got = pool_outcomes(Recording(), 7, 0.1, 0.99, 3)
         assert calls == [(7, list(range(1, 8)))]
         want = pool_outcomes(model, 7, 0.1, 0.99, 3)
-        for name in PoolOutcomes._fields[3:]:
+        for name in PoolOutcomes._fields[4:]:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         constant = pool_outcomes(_ConstantModel(0.5), 3, 0.2, 1.0, 2)
         # With sp = 1 a negative subject's pool reads positive only through its
@@ -328,7 +328,7 @@ class TestPoolOutcomes:
         for i, p in enumerate(prevalences):
             for j, n in enumerate(sizes):
                 single = pool_outcomes(model, n, p, model.kit.sp, 100)
-                for name in PoolOutcomes._fields[3:]:
+                for name in PoolOutcomes._fields[4:]:
                     np.testing.assert_allclose(
                         getattr(grid, name)[i, j], getattr(single, name),
                         rtol=1e-13, atol=0, err_msg=f"{name} at n={n}, p={p}",
