@@ -2,31 +2,32 @@
 
 Subjects are grouped into consecutive pools of n; the leftover subjects at
 the end form one final short pool of their actual size, with sensitivity
-evaluated at that size. Individual testing runs as pools of one subject,
-which are never pool-tested, so every procedure has the same layout. Work
-is split into fixed-size chunks of whole pools, and every chunk draws from
-its own counter-based stream seeded by (seed, chunk_index). Because chunk
-streams are independent and results are reduced by integer addition, the
-outcome is identical for any thread count.
+evaluated at that size. Individual testing runs as pools of one read zero
+times, so every pool goes on to individual reads and every procedure has
+the same layout. Work is split into fixed-size chunks of whole pools, and
+every chunk draws from its own counter-based stream seeded by (seed,
+chunk_index). Because chunk streams are independent and results are
+reduced by integer addition, the outcome is identical for any thread count.
+The Se rows and class laws are built in the calling thread; worker threads
+run chunk code only.
 
-simulate() runs one of two engines over the same chunks and streams; within
-a chunk each has a fixed draw order.
+simulate() runs one of two engines, each one chunk function with a fixed
+draw order, over the same chunks and streams.
 
-- The count engine, the default, draws per pool. A pool chunk draws the
-  positive count k ~ Binomial(n, p) of every pool, then r pool reads per
-  pool against Se(n, k), then, for the pools declared positive only,
-  TP ~ Binomial(k, Se_I) and FP ~ Binomial(n - k, 1 - Sp) per pool. FN is
-  the chunk's positives less TP, and TN the rest. An individual chunk makes
-  three draws: its positives ~ Binomial(pools, p), then TP and FP as above.
+- The count engine, the default, draws by positive-count class and holds
+  no per-pool arrays: the pools at each count k ~ Multinomial(pools, the
+  Binomial(n, p) row normalised); for each k with pools, the read of their
+  first positive result, 1..r or none, ~ Multinomial(pools at k, the
+  geometric law of the miss chance 1 - Se(n, k) truncated at r); then
+  TP ~ Binomial(sum of k over pools declared positive, Se_I) and
+  FP ~ Binomial(sum of n - k over them, 1 - Sp). FN is the chunk's
+  positives less TP, and TN the rest.
 - The per-subject engine (per_subject=True), the reference that verify
-  runs, draws per subject: subject statuses first, then r pool reads per
-  pool, then one individual read per subject, all consumed whether or not
-  the procedure needed them. Its draws do not follow the closed forms'
-  binomial decomposition, which is what makes verify an independent check.
-
-Both engines draw all r pool reads and apply early-stopped retests
-logically on top of them: a pool declared positive used the reads up to its
-first positive one.
+  runs, draws subject statuses, then r pool reads per pool, then one
+  individual read per subject, all consumed whether or not the procedure
+  needed them, and applies early-stopped retests logically on top. Its
+  draws do not follow the closed forms' binomial decomposition, which is
+  what makes verify an independent check.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .dilution import DilutionModel, TestKit
+from .dilution import DilutionModel
 from .evaluate import Metrics, Procedure, ProcedureConfig, evaluate
-from .kernels import check_prevalence, is_whole
+from .kernels import binomial_pmf_row, check_prevalence, is_whole
 
 __all__ = [
     "DESK_SCALE_SUBJECTS",
@@ -134,92 +136,85 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _sensitivity_row(model: DilutionModel, n: int) -> np.ndarray:
-    """Read probabilities by positive count k = 0..n; k = 0 is a false positive."""
+class _PoolLaw(NamedTuple):
+    """How pools of one size are read and filled.
+
+    reads is the pool reads' budget, 0 for individual testing. read_prob[k] is
+    a read's chance to come back positive with k positives in the pool (k = 0
+    is a false positive), and classes[k] the chance that a pool holds k, the
+    Binomial(size, p) row normalised.
+    """
+
+    size: int
+    reads: int
+    read_prob: np.ndarray
+    classes: np.ndarray
+
+
+def _pool_law(config: SimConfig, n: int) -> _PoolLaw:
     k = np.arange(1, n + 1)
-    return np.concatenate(([1.0 - model.kit.sp], np.broadcast_to(model.sensitivity(n, k), k.shape)))
+    se = np.broadcast_to(config.model.sensitivity(n, k), k.shape)
+    classes = binomial_pmf_row(n, config.p)
+    procedure = config.procedure
+    return _PoolLaw(
+        size=n,
+        reads=0 if procedure.kind is Procedure.INDIVIDUAL else procedure.r,
+        read_prob=np.concatenate(([1.0 - config.model.kit.sp], se)),
+        classes=classes / classes.sum(),
+    )
 
 
-def _read_individuals(rng: np.random.Generator, kit: TestKit, status: np.ndarray, tested):
-    """One individual read per subject; a subject is classified positive when
-    it was tested and its read came back positive. Returns (TP, FP, TN, FN)."""
-    reads = rng.random(status.shape)
-    positive = (reads < np.where(status, kit.se_i, 1.0 - kit.sp)) & tested
+def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
+    """Per-subject reference: every status and read of `pools` pools, one chunk, one stream."""
+    rng = _chunk_rng(config.seed, chunk_index)
+    status = rng.random((pools, law.size)) < config.p
+    if law.reads:
+        read_positive = rng.random((pools, law.reads)) < law.read_prob[status.sum(axis=1), None]
+        # argmax finds the first positive read, or read 0 in a pool with none.
+        first_positive = read_positive.argmax(axis=1)
+        declared = read_positive[np.arange(pools), first_positive]
+        # Early stop: reads after the first positive never happen, so a declared
+        # positive pool used argmax+1 reads and a negative pool used all r.
+        pool_tests = int(np.where(declared, first_positive + 1, law.reads).sum())
+    else:
+        # No pool stage: every pool goes on to individual reads.
+        declared, pool_tests = np.ones(pools, dtype=bool), 0
+
+    kit = config.model.kit
+    # One individual read per subject; a subject is classified positive when
+    # its pool was declared positive and its own read came back positive.
+    individual_reads = rng.random(status.shape)
+    positive = (individual_reads < np.where(status, kit.se_i, 1.0 - kit.sp)) & declared[:, None]
     tp = int(np.count_nonzero(status & positive))
     fp = int(np.count_nonzero(~status & positive))
     fn = int(np.count_nonzero(status & ~positive))
-    return tp, fp, status.size - tp - fp - fn, fn
+    individual_tests = law.size * int(np.count_nonzero(declared))
+    return pool_tests, individual_tests, tp, fp, status.size - tp - fp - fn, fn
 
 
-def _run_individual_chunk(config: SimConfig, pools: int, pool_size: int, se_row: np.ndarray, chunk_index: int):
-    """Per-subject reference: a status and a read for each subject of `pools`
-    pools of one, one chunk, one stream; se_row is unused."""
-    rng = _chunk_rng(config.seed, chunk_index)
-    status = rng.random(pools) < config.p
-    return (0, pools, *_read_individuals(rng, config.model.kit, status, True))
-
-
-def _count_individual_chunk(config: SimConfig, pools: int, pool_size: int, se_row: np.ndarray, chunk_index: int):
-    """`pools` subjects tested once each, in three binomial draws; se_row is unused."""
-    rng = _chunk_rng(config.seed, chunk_index)
-    kit = config.model.kit
-    positives = int(rng.binomial(pools, config.p))
-    tp = int(rng.binomial(positives, kit.se_i))
-    fp = int(rng.binomial(pools - positives, 1.0 - kit.sp))
-    return 0, pools, tp, fp, pools - positives - fp, positives - tp
-
-
-def _read_pools(rng: np.random.Generator, read_prob: np.ndarray, r: int):
-    """Draw r reads per pool: (declared positive per pool, pool reads used)."""
-    pools = len(read_prob)
-    read_positive = rng.random((pools, r)) < read_prob[:, None]
-    # argmax finds the first positive read, or read 0 in a pool with none.
-    first_positive = read_positive.argmax(axis=1)
-    declared_positive = read_positive[np.arange(pools), first_positive]
-    # Early stop: reads after the first positive never happen, so a declared
-    # positive pool used argmax+1 reads and a negative pool used all r.
-    return declared_positive, int(np.where(declared_positive, first_positive + 1, r).sum())
-
-
-def _run_pool_chunk(
-    config: SimConfig,
-    pools: int,
-    pool_size: int,
-    se_row: np.ndarray,
-    chunk_index: int,
-):
-    """Per-subject reference: `pools` pools of `pool_size`, one chunk, one stream."""
-    rng = _chunk_rng(config.seed, chunk_index)
-    status = rng.random((pools, pool_size)) < config.p
-    declared_positive, pool_tests = _read_pools(
-        rng, se_row[status.sum(axis=1)], config.procedure.r
-    )
-    individual_tests = pool_size * int(np.count_nonzero(declared_positive))
-    classified = _read_individuals(rng, config.model.kit, status, declared_positive[:, None])
-    return (pool_tests, individual_tests, *classified)
-
-
-def _count_pool_chunk(
-    config: SimConfig,
-    pools: int,
-    pool_size: int,
-    se_row: np.ndarray,
-    chunk_index: int,
-):
-    """`pools` pools of `pool_size` from per-pool counts, one chunk, one stream."""
+def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
+    """`pools` pools drawn by positive-count class, one chunk, one stream."""
     rng = _chunk_rng(config.seed, chunk_index)
     kit = config.model.kit
 
-    k = rng.binomial(pool_size, config.p, size=pools)
-    declared_positive, pool_tests = _read_pools(rng, se_row[k], config.procedure.r)
+    by_class = rng.multinomial(pools, law.classes)
+    k = np.flatnonzero(by_class)
+    in_class = by_class[k]
+    # Per class, the pools whose first positive read is read 1..r, then those
+    # with none: a geometric law truncated at r, with the miss chance 1 - Se.
+    miss = 1.0 - law.read_prob[k, None]
+    powers = miss ** np.arange(law.reads + 1)
+    by_read = rng.multinomial(in_class, np.concatenate((powers[:, :-1] * (1.0 - miss), powers[:, -1:]), axis=1))
+    # No pool stage: every pool goes on to individual reads.
+    declared = by_read[:, :-1].sum(axis=1) if law.reads else in_class
+    per_read = by_read.sum(axis=0)
+    pool_tests = int(per_read[:-1] @ np.arange(1, law.reads + 1)) + law.reads * int(per_read[-1])
 
-    # Only subjects of pools declared positive are read individually.
-    k_tested = k[declared_positive]
-    tp = int(rng.binomial(k_tested, kit.se_i).sum())
-    fp = int(rng.binomial(pool_size - k_tested, 1.0 - kit.sp).sum())
-    positives = int(k.sum())
-    tn = pools * pool_size - positives - fp
-    return pool_tests, pool_size * len(k_tested), tp, fp, tn, positives - tp
+    positives = int(k @ in_class)
+    tp = int(rng.binomial(int(k @ declared), kit.se_i))
+    fp = int(rng.binomial(int((law.size - k) @ declared), 1.0 - kit.sp))
+    tn = pools * law.size - positives - fp
+    return pool_tests, law.size * int(declared.sum()), tp, fp, tn, positives - tp
 
 
 def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) -> SimResult:
@@ -231,24 +226,20 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
     threads = int(threads)
-    if config.procedure.kind is Procedure.INDIVIDUAL:
-        chunk = _run_individual_chunk if per_subject else _count_individual_chunk
-    else:
-        chunk = _run_pool_chunk if per_subject else _count_pool_chunk
+    chunk = _subject_chunk if per_subject else _count_chunk
 
     # Individual testing is pools of one, whose remainder is always empty.
     n = config.procedure.n
     full_pools, remainder = divmod(config.subjects, n)
     pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n)
-    # The Se rows are built here, in the calling thread; workers run chunks only.
-    se_row = _sensitivity_row(config.model, n)
+    # The laws are built here, in the calling thread; workers run chunks only.
+    law = _pool_law(config, n)
     jobs = [
-        partial(chunk, config, min(pools_per_chunk, full_pools - start), n, se_row, ci)
+        partial(chunk, config, min(pools_per_chunk, full_pools - start), law, ci)
         for ci, start in enumerate(range(0, full_pools, pools_per_chunk))
     ]
     if remainder:
-        short_row = _sensitivity_row(config.model, remainder)
-        jobs.append(partial(chunk, config, 1, remainder, short_row, len(jobs)))
+        jobs.append(partial(chunk, config, 1, _pool_law(config, remainder), len(jobs)))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(lambda job: job(), jobs))

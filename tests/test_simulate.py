@@ -37,6 +37,27 @@ def _config(kind=Procedure.MODIFIED, n=10, r=3, subjects=100_000, seed=11, p=0.0
     )
 
 
+def _assert_pooled_counts_consistent(config, result):
+    n, r = config.procedure.n, config.procedure.r
+    full_pools, remainder = divmod(config.subjects, n)
+    pools = full_pools + (remainder > 0)
+    classified = (
+        result.true_positives + result.false_positives
+        + result.true_negatives + result.false_negatives
+    )
+    assert classified == result.subjects == config.subjects
+    assert result.tests == result.pool_tests + result.individual_tests
+    assert pools <= result.pool_tests <= r * pools
+    # Whole pools read individually, plus the short pool or not.
+    assert any(
+        (result.individual_tests - short) % n == 0
+        and 0 <= (result.individual_tests - short) // n <= full_pools
+        for short in {0, remainder}
+    ), result
+    # Only subjects read individually can be declared positive.
+    assert result.true_positives + result.false_positives <= result.individual_tests
+
+
 class TestConfigValidation:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError, match="subjects"):
@@ -125,10 +146,51 @@ class TestProcedureSemantics:
         assert result.false_positives == 0
 
     def test_retest_budget_bounds_pool_tests(self):
-        config = _config(n=5, r=4, subjects=10_000, p=0.01)
-        result = simulate(config)
-        pools = 10_000 // 5
-        assert pools <= result.pool_tests <= pools * 4
+        for n, r, subjects, p in (
+            (5, 4, 10_000, 0.01),
+            # Most of the 10,001 positive-count classes hold no pool.
+            (10_000, 3, 1_000_003, 1e-4),
+            # The largest retest budget the validators accept.
+            (7, 100, 100_003, 0.2),
+        ):
+            config = _config(n=n, r=r, subjects=subjects, p=p)
+            _assert_pooled_counts_consistent(config, simulate(config))
+
+    def test_reads_are_drawn_for_occupied_classes_only(self, monkeypatch):
+        """Pools of 10,000 at p = 1e-4 fill a handful of the 10,001 classes."""
+        read_draws = []
+        chunk_rng = simulate_module._chunk_rng
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def multinomial(self, n, pvals):
+                if np.ndim(n):
+                    read_draws.append(np.asarray(n))
+                return self.rng.multinomial(n, pvals)
+
+        config = _config(n=10_000, r=3, subjects=1_000_003, p=1e-4)
+        expected = simulate(config)
+        monkeypatch.setattr(simulate_module, "_chunk_rng", lambda *key: Recording(chunk_rng(*key)))
+        assert simulate(config) == expected
+        # Every pool's reads are drawn once, in classes that are never empty.
+        assert sum(int(draw.sum()) for draw in read_draws) == math.ceil(config.subjects / 10_000)
+        assert all(draw.min() > 0 and len(draw) <= 10 for draw in read_draws)
+
+    def test_pools_past_the_dilution_limit_detect_nothing(self):
+        """Bateman Se(800, k) is 0 for every k, so every positive is missed."""
+        model = bateman_fit_model()
+        assert not model.sensitivity(800, np.arange(1, 801)).any()
+        subjects, p = 1_000_003, 0.01
+        for r in (1, 5):
+            result = simulate(_config(n=800, r=r, subjects=subjects, p=p, model=model))
+            assert result.true_positives == 0
+            # FN is then every positive, Binomial(subjects, p).
+            assert abs(result.false_negatives - subjects * p) <= 5 * math.sqrt(subjects * p * (1 - p))
 
 
 class TestAgreementWithClosedForms:
@@ -253,25 +315,8 @@ class TestEngineProperties:
     @_PROPERTY_SETTINGS
     @given(_pooled_configs())
     def test_pooled_counts_are_consistent(self, config):
-        n, r = config.procedure.n, config.procedure.r
-        full_pools, remainder = divmod(config.subjects, n)
-        pools = full_pools + (remainder > 0)
         for result in _both_engines_at_one_and_three_threads(config):
-            classified = (
-                result.true_positives + result.false_positives
-                + result.true_negatives + result.false_negatives
-            )
-            assert classified == result.subjects == config.subjects
-            assert result.tests == result.pool_tests + result.individual_tests
-            assert pools <= result.pool_tests <= r * pools
-            # Whole pools read individually, plus the short pool or not.
-            assert any(
-                (result.individual_tests - short) % n == 0
-                and 0 <= (result.individual_tests - short) // n <= full_pools
-                for short in {0, remainder}
-            ), result
-            # Only subjects read individually can be declared positive.
-            assert result.true_positives + result.false_positives <= result.individual_tests
+            _assert_pooled_counts_consistent(config, result)
 
     @_PROPERTY_SETTINGS
     @given(st.integers(1, 30_000), st.integers(0, 2**64 - 1), _KITS, _PREVALENCES)
