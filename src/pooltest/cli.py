@@ -319,7 +319,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, subjects: str, seed: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pooltest", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="pooltest", description="Command-line interface.")
     parser.add_argument("--version", action="version", version=f"pooltest {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -56,6 +56,9 @@ LINEAR_TERMS = frozenset({LINEAR_POOL_SIZE, LINEAR_POSITIVES})
 class TestKit:
     """Sensitivity and specificity of the underlying assay on one specimen."""
 
+    # A domain class, not a test container: pytest must not collect it.
+    __test__ = False
+
     se_i: float
     sp: float
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +314,15 @@ class TestTopLevel:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_runs_with_docstrings_stripped(self):
+        """python -OO drops every docstring; the parser must not need one."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-OO", "-m", "pooltest.cli", "--version"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"pooltest {__version__}\n", "")
 
 
 class TestGoldenOutputs:
