@@ -28,8 +28,6 @@ from .dilution import (
     BATEMAN_POOL_SENSITIVITIES,
     LINEAR_POOL_SIZE,
     LINEAR_TERMS,
-    RATIO_K_OVER_N,
-    RATIO_ORIENTATIONS,
     DilutionModel,
     FitConvergenceError,
     TestKit,
@@ -113,12 +111,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser, *, coefficients: bool 
         group.add_argument("--alpha", type=float, default=BATEMAN_FIT_ALPHA, help="dilution exponent (default: Bateman fit)")
         group.add_argument("--beta", type=float, default=BATEMAN_FIT_BETA, help="linear pool-size coefficient (default: Bateman fit)")
     group.add_argument(
-        "--ratio-orientation",
-        choices=sorted(RATIO_ORIENTATIONS),
-        default=RATIO_K_OVER_N,
-        help="dilution ratio inside the power law (default k-over-n)",
-    )
-    group.add_argument(
         "--linear-term",
         choices=sorted(LINEAR_TERMS),
         default=LINEAR_POOL_SIZE,
@@ -131,7 +123,6 @@ def _model_from_args(args: argparse.Namespace) -> DilutionModel:
         kit=TestKit(se_i=args.se_i, sp=args.sp),
         alpha=args.alpha,
         beta=args.beta,
-        ratio_orientation=args.ratio_orientation,
         linear_term=args.linear_term,
     )
 
@@ -155,7 +146,7 @@ def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
 # Parsed flags that are no input to the result, and the model flags, which
 # close every record in this order.
 _UNRECORDED = frozenset({"command", "handler", "out", "sweep_csv"})
-_MODEL_KEYS = ("alpha", "beta", "linear_term", "ratio_orientation", "se_i", "sp")
+_MODEL_KEYS = ("alpha", "beta", "linear_term", "se_i", "sp")
 
 
 def _record_value(value) -> str:
@@ -246,12 +237,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         observations = BATEMAN_POOL_SENSITIVITIES
         source = "builtin-bateman"
     kit = TestKit(se_i=args.se_i, sp=args.sp)
-    result = fit_dilution_model(
-        observations,
-        kit,
-        ratio_orientation=args.ratio_orientation,
-        linear_term=args.linear_term,
-    )
+    result = fit_dilution_model(observations, kit, linear_term=args.linear_term)
     pairs = [
         ("alpha", result.model.alpha),
         ("beta", result.model.beta),

@@ -3,14 +3,14 @@
 A pooled specimen with k positives out of n subjects is detected with
 probability
 
-    Se(n, k) = clamp( (1 - Sp) + (Se_I + Sp - 1) * ratio^alpha + beta * size, 0, 1 )
+    Se(n, k) = clamp( (1 - Sp) + (Se_I + Sp - 1) * (k/n)^alpha + beta * size, 0, 1 )
 
-where ratio is k/n by default (the share of positive contributions, so more
-dilution means a smaller ratio and lower sensitivity) and size is the pool
-size n. Both choices carry a variant switch: ratio can be flipped to n/k and
-the linear term can be driven by k instead of n, because both printed forms
-circulate and the variants keep them reachable. At n = k = 1 the default
-curve reduces to Se_I plus beta, i.e. essentially the individual test kit.
+where k/n is the share of positive contributions, so more dilution means a
+smaller ratio and, for alpha > 0, lower sensitivity, and size is the pool
+size n. The linear term can be driven by k instead of n, because both
+printed forms circulate. A form printed with (n/k)^a is this curve at
+alpha = -a. At n = k = 1 the curve reduces to Se_I plus beta, i.e.
+essentially the individual test kit.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .csvio import read_table
 from .kernels import check_pool_size, is_whole
 
 __all__ = [
-    "RATIO_K_OVER_N",
-    "RATIO_N_OVER_K",
     "LINEAR_POOL_SIZE",
     "LINEAR_POSITIVES",
     "TestKit",
@@ -42,10 +40,6 @@ __all__ = [
     "fit_dilution_model",
     "load_observations",
 ]
-
-RATIO_K_OVER_N = "k-over-n"
-RATIO_N_OVER_K = "n-over-k"
-RATIO_ORIENTATIONS = frozenset({RATIO_K_OVER_N, RATIO_N_OVER_K})
 
 LINEAR_POOL_SIZE = "pool-size"
 LINEAR_POSITIVES = "positives"
@@ -85,14 +79,11 @@ class DilutionModel:
     kit: TestKit = DEFAULT_KIT
     alpha: float = 0.0
     beta: float = 0.0
-    ratio_orientation: str = RATIO_K_OVER_N
     linear_term: str = LINEAR_POOL_SIZE
 
     def __post_init__(self) -> None:
-        for name, choices in (("ratio_orientation", RATIO_ORIENTATIONS), ("linear_term", LINEAR_TERMS)):
-            value = getattr(self, name)
-            if value not in choices:
-                raise ValueError(f"{name} must be one of {sorted(choices)}, got {value!r}")
+        if self.linear_term not in LINEAR_TERMS:
+            raise ValueError(f"linear_term must be one of {sorted(LINEAR_TERMS)}, got {self.linear_term!r}")
         for name in ("alpha", "beta"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -113,7 +104,7 @@ class DilutionModel:
             valid = (1 <= k) & (k <= n) & (k % 1 == 0)  # nan and inf fail the range test
             if not valid.all():
                 raise ValueError(f"k must be an integer in [1, {n}], got {k[~valid].tolist()[0]!r}")
-            ratio = k / n if self.ratio_orientation == RATIO_K_OVER_N else n / k
+            ratio = k / n
             size = n if self.linear_term == LINEAR_POOL_SIZE else k
             # A zero coefficient adds no power term, even where the power overflows.
             dilution = coefficient * ratio**self.alpha if coefficient else 0.0
@@ -171,20 +162,9 @@ BATEMAN_FIT_ALPHA = 0.032482
 BATEMAN_FIT_BETA = -0.001255
 
 
-def bateman_fit_model(
-    kit: TestKit = DEFAULT_KIT,
-    *,
-    ratio_orientation: str = RATIO_K_OVER_N,
-    linear_term: str = LINEAR_POOL_SIZE,
-) -> DilutionModel:
+def bateman_fit_model(kit: TestKit = DEFAULT_KIT, *, linear_term: str = LINEAR_POOL_SIZE) -> DilutionModel:
     """The stock dilution model: frozen coefficients from the Bateman fit."""
-    return DilutionModel(
-        kit=kit,
-        alpha=BATEMAN_FIT_ALPHA,
-        beta=BATEMAN_FIT_BETA,
-        ratio_orientation=ratio_orientation,
-        linear_term=linear_term,
-    )
+    return DilutionModel(kit=kit, alpha=BATEMAN_FIT_ALPHA, beta=BATEMAN_FIT_BETA, linear_term=linear_term)
 
 
 class FitConvergenceError(RuntimeError):
@@ -209,7 +189,6 @@ def fit_dilution_model(
     observations: Sequence[SensitivityObservation],
     kit: TestKit = DEFAULT_KIT,
     *,
-    ratio_orientation: str = RATIO_K_OVER_N,
     linear_term: str = LINEAR_POOL_SIZE,
 ) -> FitResult:
     """Least-squares (alpha, beta) for the dilution curve on observed pools.
@@ -222,9 +201,7 @@ def fit_dilution_model(
     if len(observations) < 2:
         raise ValueError(f"need at least 2 observations to fit 2 parameters, got {len(observations)}")
 
-    base = DilutionModel(
-        kit=kit, ratio_orientation=ratio_orientation, linear_term=linear_term
-    )
+    base = DilutionModel(kit=kit, linear_term=linear_term)
 
     def objective(params) -> float:
         model = replace(base, alpha=float(params[0]), beta=float(params[1]))

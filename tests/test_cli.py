@@ -303,6 +303,16 @@ class TestTablesCommand:
 
 
 class TestTopLevel:
+    def test_model_flags(self):
+        """Five model flags, and fit takes no coefficients; a curve printed
+        with (n/k)^a is given as --alpha -a."""
+        commands = cli._PARSER._subparsers._group_actions[0].choices
+        for name, parser in commands.items():
+            group = next(group for group in parser._action_groups if group.title == "dilution model")
+            flags = [action.option_strings[0] for action in group._group_actions]
+            coefficients = [] if name == "fit" else ["--alpha", "--beta"]
+            assert flags == ["--se-i", "--sp", *coefficients, "--linear-term"], name
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("pooltest ")
@@ -340,7 +350,7 @@ class TestGoldenOutputs:
         "evaluate-individual": ["evaluate", "--kind", "individual", "--p", "0.05"],
         "evaluate-variant": [
             "evaluate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.01",
-            "--linear-term", "positives", "--ratio-orientation", "n-over-k", "--sp", "1",
+            "--linear-term", "positives", "--alpha", "-0.032482", "--sp", "1",
         ],
         "simulate-short-final-pool": [
             "simulate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.05",
@@ -417,7 +427,6 @@ def _model_flags(draw):
     return [
         "--se-i", repr(draw(rate)), "--sp", repr(draw(rate)),
         "--alpha", repr(draw(coefficient)), "--beta", repr(draw(coefficient)),
-        "--ratio-orientation", draw(st.sampled_from(["k-over-n", "n-over-k"])),
         "--linear-term", draw(st.sampled_from(["pool-size", "positives"])),
     ]
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,7 @@ from pooltest import (
     fit_dilution_model,
     load_observations,
 )
-from pooltest.dilution import (
-    LINEAR_POSITIVES,
-    RATIO_N_OVER_K,
-)
+from pooltest.dilution import LINEAR_POSITIVES
 
 
 class TestTestKit:
@@ -63,8 +61,9 @@ class TestDilutionModel:
             values = [model.sensitivity(n, k) for k in range(1, n + 1)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_flipped_ratio_reverses_the_trend(self):
-        flipped = bateman_fit_model(ratio_orientation=RATIO_N_OVER_K)
+    def test_negative_alpha_reverses_the_trend(self):
+        stock = bateman_fit_model()
+        flipped = replace(stock, alpha=-stock.alpha)
         values = [flipped.sensitivity(20, k) for k in range(1, 21)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -83,15 +82,14 @@ class TestDilutionModel:
         assert model.is_clamped(30, 1)
         assert not model.is_clamped(2, 1)
 
-    @pytest.mark.parametrize("alpha, orientation", [(-1000.0, "k-over-n"), (1000.0, "n-over-k")])
-    def test_overflowing_power_clamps(self, alpha, orientation):
-        """ratio**alpha overflows a float for k < n: Se is then the bound the
+    def test_overflowing_power_clamps(self):
+        """(k/n)**-1000 overflows a float for k < n: Se is then the bound the
         curve runs to, never an OverflowError. At k = n the ratio is 1."""
-        model = DilutionModel(kit=DEFAULT_KIT, alpha=alpha, beta=-0.001, ratio_orientation=orientation)
+        model = DilutionModel(kit=DEFAULT_KIT, alpha=-1000.0, beta=-0.001)
         assert model.raw_sensitivity(10, 1) == math.inf
         assert model.sensitivity(10, 1) == 1.0 and model.is_clamped(10, 1)
         assert model.sensitivity(10, 10) == pytest.approx(0.99 - 0.01)
-        below = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=alpha, ratio_orientation=orientation)
+        below = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=-1000.0)
         assert below.raw_sensitivity(10, 1) == -math.inf
         assert below.sensitivity(10, 1) == 0.0
 
@@ -136,35 +134,58 @@ class TestDilutionModel:
         assert model.sensitivity(10, k).tolist() == [0.0] * 4 + [1.0] * 6
         assert [model.raw_sensitivity(10, j) for j in k.tolist()] == [-math.inf] * 4 + [math.inf] * 6
 
-    @pytest.mark.parametrize("orientation", ["k-over-n", RATIO_N_OVER_K])
-    def test_array_power_is_within_one_ulp_of_scalar_pow(self, orientation):
+    def test_array_power_is_within_one_ulp_of_scalar_pow(self):
         """With kit 1/1 and beta = 0 the curve is its power term alone. An array
         of k gives each scalar call's value within one ulp: numpy's vectorised
         pow is not the C library's."""
-        for alpha in (bateman_fit_model().alpha, -0.7, 3.0):
-            model = DilutionModel(kit=TestKit(1.0, 1.0), alpha=alpha, ratio_orientation=orientation)
-            for n, k in _row_samples():
-                scalar = [model.raw_sensitivity(n, j) for j in k.tolist()]
-                np.testing.assert_array_max_ulp(model.raw_sensitivity(n, k), scalar, maxulp=1)
+        for magnitude in (bateman_fit_model().alpha, 0.7, 3.0):
+            for alpha in (magnitude, -magnitude):
+                model = DilutionModel(kit=TestKit(1.0, 1.0), alpha=alpha)
+                for n, k in _row_samples():
+                    scalar = [model.raw_sensitivity(n, j) for j in k.tolist()]
+                    np.testing.assert_array_max_ulp(model.raw_sensitivity(n, k), scalar, maxulp=1)
 
-    @pytest.mark.parametrize("orientation", ["k-over-n", RATIO_N_OVER_K])
     @pytest.mark.parametrize("linear_term", ["pool-size", LINEAR_POSITIVES])
-    def test_array_k_matches_scalar_calls(self, orientation, linear_term):
+    def test_array_k_matches_scalar_calls(self, linear_term):
         """The whole curve carries that one-ulp power difference, times
         se_i + sp - 1 < 1, through two sums that round again: within 2 eps,
         relative for |Se| above 1. On the stock curve below n = 400, 4,244 of
-        79,799 (n, k) pairs differ, by one ulp (2,610) or two (1,634)."""
-        model = bateman_fit_model(ratio_orientation=orientation, linear_term=linear_term)
+        79,799 (n, k) pairs differ, by one ulp (2,610) or two (1,634). The
+        stock alpha runs negated too."""
+        stock = bateman_fit_model(linear_term=linear_term)
         eps = np.finfo(float).eps
-        for n, k in _row_samples():
-            for method in (model.raw_sensitivity, model.sensitivity):
-                row = method(n, k)
-                assert row.shape == k.shape and row.dtype == np.float64
-                scalar = [method(n, j) for j in k.tolist()]
-                np.testing.assert_allclose(row, scalar, rtol=2 * eps, atol=2 * eps)
-        grid = np.array([[1, 2], [3, 10]])
-        assert model.sensitivity(10, grid).shape == (2, 2)
-        assert model.is_clamped(10, grid).tolist() == [[model.is_clamped(10, j) for j in row] for row in grid.tolist()]
+        for model in (stock, replace(stock, alpha=-stock.alpha)):
+            for n, k in _row_samples():
+                for method in (model.raw_sensitivity, model.sensitivity):
+                    row = method(n, k)
+                    assert row.shape == k.shape and row.dtype == np.float64
+                    scalar = [method(n, j) for j in k.tolist()]
+                    np.testing.assert_allclose(row, scalar, rtol=2 * eps, atol=2 * eps)
+            grid = np.array([[1, 2], [3, 10]])
+            assert model.sensitivity(10, grid).shape == (2, 2)
+            clamped = [[model.is_clamped(10, j) for j in row] for row in grid.tolist()]
+            assert model.is_clamped(10, grid).tolist() == clamped
+
+    def test_n_over_k_form_is_the_curve_at_negated_alpha(self):
+        """A curve printed with (n/k)^a, written out here as a reference
+        expression, is sensitivity at alpha = -a, for either linear term.
+        |a| runs from 0.001 to 10 and n from 1 to 10,000, both log-uniform,
+        so that most values lie inside (0, 1) rather than at a clamp."""
+        rng = np.random.default_rng(20240802)
+        interior = total = 0
+        for _ in range(500):
+            se_i, sp = rng.uniform(0.01, 1.0, size=2)
+            a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.0)
+            beta = rng.uniform(-1e-4, 1e-4)
+            n = int(10.0 ** rng.uniform(0.0, 4.0))
+            k = np.unique(rng.integers(1, n + 1, size=20))
+            for linear_term, size in (("pool-size", n), (LINEAR_POSITIVES, k)):
+                reference = np.clip((1.0 - sp) + (se_i + sp - 1.0) * (n / k) ** a + beta * size, 0.0, 1.0)
+                model = DilutionModel(kit=TestKit(se_i, sp), alpha=-a, beta=beta, linear_term=linear_term)
+                np.testing.assert_allclose(model.sensitivity(n, k), reference, rtol=0, atol=1e-12)
+                interior += np.count_nonzero((0.0 < reference) & (reference < 1.0))
+                total += k.size
+        assert interior > total / 2
 
     @pytest.mark.parametrize("bad", [0, 6, 2.5, float("nan"), float("inf")])
     def test_array_k_is_validated(self, bad):
@@ -205,8 +226,6 @@ class TestDilutionModel:
                 model.sensitivity(5, bad)
             with pytest.raises(ValueError, match="pool size"):
                 model.sensitivity(bad, 1)
-        with pytest.raises(ValueError, match="ratio_orientation"):
-            DilutionModel(ratio_orientation="sideways")
         with pytest.raises(ValueError, match="linear_term"):
             DilutionModel(linear_term="quadratic")
         # A NaN coefficient would clamp every Se to 0 without a word.

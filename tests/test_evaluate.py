@@ -466,7 +466,6 @@ def _domain_models(draw):
         kit=TestKit(se_i=draw(_RATES), sp=draw(_RATES)),
         alpha=draw(_COEFFICIENTS),
         beta=draw(_COEFFICIENTS),
-        ratio_orientation=draw(st.sampled_from(["k-over-n", "n-over-k"])),
         linear_term=draw(st.sampled_from(["pool-size", "positives"])),
     )
 
