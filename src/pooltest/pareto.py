@@ -60,6 +60,9 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         values = tuple(check_prevalence(p) for p in self.p_values)
+        repeated = [p for at, p in enumerate(values) if p in values[:at]]
+        if repeated:
+            raise ValueError(f"p_values repeats prevalence {repeated[0]!r}")
         object.__setattr__(self, "p_values", values)
         for name, check, minimum in (("n_range", check_pool_size, 2), ("r_range", check_retest_count, 1)):
             try:
@@ -273,6 +276,13 @@ def write_sweep_csv(points: Iterable[ParetoPoint], path: str | Path) -> None:
     write_table(path, SWEEP_CSV_COLUMNS, rows)
 
 
+def _flag(name: str, cell: str) -> bool:
+    """A dominance flag as write_sweep_csv writes it: 0 or 1, nothing else."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"{name} must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
 def _point_from_row(row: list[str]) -> ParetoPoint:
     config = ProcedureConfig(kind=Procedure(row[1]), n=int(row[2]), r=int(row[3]))
     metrics = Metrics(e_tests=float(row[4]), e_fn=float(row[5]), e_fp=float(row[6]))
@@ -282,8 +292,8 @@ def _point_from_row(row: list[str]) -> ParetoPoint:
         metrics=metrics,
         relative_tests=float(row[7]),
         relative_fn_increase=float(row[8]),
-        dominated=bool(int(row[9])),
-        dominated_joint=bool(int(row[10])),
+        dominated=_flag("dominated", row[9]),
+        dominated_joint=_flag("dominated_joint", row[10]),
     )
 
 

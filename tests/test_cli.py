@@ -173,6 +173,13 @@ class TestSweepCommand:
         assert main(["sweep", *self.GRID]) == 1
         capsys.readouterr()
 
+    def test_repeated_prevalence_exits_one(self, capsys, tmp_path):
+        """Each point of a repeated prevalence used to be written twice."""
+        grid = ["--p", "0.01", "--p", "0.02", "--p", "0.010", "--n-min", "2", "--n-max", "3"]
+        assert main(["sweep", *grid, "--out", str(tmp_path)]) == 1
+        assert "pooltest: error: p_values repeats prevalence 0.01" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_calls_in_one_process_record_only_their_own_prevalences(self, capsys, tmp_path):
         """The parser is shared by every main() call; appended --p lists are not."""
         grid = ["--n-min", "2", "--n-max", "3", "--r-min", "2", "--r-max", "2"]
@@ -288,6 +295,19 @@ class TestTablesCommand:
         via_csv, in_memory = self._tables_via_csv(capsys, tmp_path, ["0.0010000001", "0.001"])
         assert "wrote tables for 2 prevalences" in via_csv
         assert "wrote tables for 2 prevalences" in in_memory
+
+    def test_csv_with_a_flag_other_than_0_or_1_exits_one(self, capsys, tmp_path):
+        """A dominated cell of 7 used to load as True."""
+        assert main(["sweep", *self.GRID, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-2] = "7"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["tables", "--sweep-csv", str(path), "--out", str(tmp_path / "tables")]) == 1
+        assert f"pooltest: error: {path}:4: dominated must be 0 or 1, got '7'" in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
         def boom(points):

@@ -1,5 +1,6 @@
 """Sweep construction, dominance filtering, summaries, and CSV persistence."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from pooltest import (
     write_sweep_csv,
 )
 from pooltest.kernels import TENSOR_BYTES
-from pooltest.pareto import _non_dominated_indices
+from pooltest.pareto import SWEEP_CSV_COLUMNS, _non_dominated_indices
 
 from _oracles import brute_force_front
 
@@ -61,6 +62,9 @@ class TestSweepSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="prevalence"):
             SweepSpec(p_values=(0.0,))
+        # Each point of a repeated prevalence used to be swept twice.
+        with pytest.raises(ValueError, match=r"p_values repeats prevalence 0\.02$"):
+            SweepSpec(p_values=(0.01, 0.02, 0.03, 0.020))
         with pytest.raises(ValueError, match="n_range"):
             SweepSpec(n_range=(1, 50))
         with pytest.raises(ValueError, match="r_range"):
@@ -327,6 +331,19 @@ class TestSweepCsv:
         header = "p,kind,n,r,e_tests,e_fn,e_fp,relative_tests,relative_fn_increase,dominated,dominated_joint"
         path.write_text(header + "\n0.01,dorfman,5\n")
         with pytest.raises(ValueError, match="expected 11 columns"):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize("column, cell", [(9, "7"), (9, "-1"), (10, "2"), (10, "True"), (9, " 1"), (10, "")])
+    def test_rejects_flags_other_than_0_or_1(self, small_sweep, tmp_path, column, cell):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_sweep, path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[column] = cell
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        name = SWEEP_CSV_COLUMNS[column]
+        with pytest.raises(ValueError, match=re.escape(f"sweep.csv:3: {name} must be 0 or 1, got {cell!r}")):
             read_sweep_csv(path)
 
     def test_rejects_empty_file(self, tmp_path):
