@@ -41,6 +41,11 @@ def _row_samples():
         yield n, np.unique(np.linspace(1, n, min(n, 100) if n > 399 else n).astype(int))
 
 
+# A curve printed with (n/k)^a is the k/n curve at alpha = -a: the sign that
+# turns a printed exponent into alpha, by the form the curve is printed in.
+_FORM_SIGN = {"k-over-n": 1.0, "n-over-k": -1.0}
+
+
 class TestDilutionModel:
     def test_stock_curve_spot_values(self):
         """Single-positive pools at the calibration sizes."""
@@ -82,14 +87,17 @@ class TestDilutionModel:
         assert model.is_clamped(30, 1)
         assert not model.is_clamped(2, 1)
 
-    def test_overflowing_power_clamps(self):
-        """(k/n)**-1000 overflows a float for k < n: Se is then the bound the
-        curve runs to, never an OverflowError. At k = n the ratio is 1."""
-        model = DilutionModel(kit=DEFAULT_KIT, alpha=-1000.0, beta=-0.001)
+    @pytest.mark.parametrize("exponent, form", [(-1000.0, "k-over-n"), (1000.0, "n-over-k")])
+    def test_overflowing_power_clamps(self, exponent, form):
+        """(k/n)**-1000, also printed as (n/k)**1000, overflows a float for
+        k < n: Se is then the bound the curve runs to, never an OverflowError.
+        At k = n the ratio is 1."""
+        alpha = _FORM_SIGN[form] * exponent
+        model = DilutionModel(kit=DEFAULT_KIT, alpha=alpha, beta=-0.001)
         assert model.raw_sensitivity(10, 1) == math.inf
         assert model.sensitivity(10, 1) == 1.0 and model.is_clamped(10, 1)
         assert model.sensitivity(10, 10) == pytest.approx(0.99 - 0.01)
-        below = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=-1000.0)
+        below = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=alpha)
         assert below.raw_sensitivity(10, 1) == -math.inf
         assert below.sensitivity(10, 1) == 0.0
 
@@ -134,37 +142,38 @@ class TestDilutionModel:
         assert model.sensitivity(10, k).tolist() == [0.0] * 4 + [1.0] * 6
         assert [model.raw_sensitivity(10, j) for j in k.tolist()] == [-math.inf] * 4 + [math.inf] * 6
 
-    def test_array_power_is_within_one_ulp_of_scalar_pow(self):
+    @pytest.mark.parametrize("form", list(_FORM_SIGN))
+    def test_array_power_is_within_one_ulp_of_scalar_pow(self, form):
         """With kit 1/1 and beta = 0 the curve is its power term alone. An array
         of k gives each scalar call's value within one ulp: numpy's vectorised
-        pow is not the C library's."""
-        for magnitude in (bateman_fit_model().alpha, 0.7, 3.0):
-            for alpha in (magnitude, -magnitude):
-                model = DilutionModel(kit=TestKit(1.0, 1.0), alpha=alpha)
-                for n, k in _row_samples():
-                    scalar = [model.raw_sensitivity(n, j) for j in k.tolist()]
-                    np.testing.assert_array_max_ulp(model.raw_sensitivity(n, k), scalar, maxulp=1)
+        pow is not the C library's. The two forms run each exponent at both signs."""
+        for exponent in (bateman_fit_model().alpha, -0.7, 3.0):
+            model = DilutionModel(kit=TestKit(1.0, 1.0), alpha=_FORM_SIGN[form] * exponent)
+            for n, k in _row_samples():
+                scalar = [model.raw_sensitivity(n, j) for j in k.tolist()]
+                np.testing.assert_array_max_ulp(model.raw_sensitivity(n, k), scalar, maxulp=1)
 
+    @pytest.mark.parametrize("form", list(_FORM_SIGN))
     @pytest.mark.parametrize("linear_term", ["pool-size", LINEAR_POSITIVES])
-    def test_array_k_matches_scalar_calls(self, linear_term):
+    def test_array_k_matches_scalar_calls(self, form, linear_term):
         """The whole curve carries that one-ulp power difference, times
         se_i + sp - 1 < 1, through two sums that round again: within 2 eps,
         relative for |Se| above 1. On the stock curve below n = 400, 4,244 of
         79,799 (n, k) pairs differ, by one ulp (2,610) or two (1,634). The
-        stock alpha runs negated too."""
+        n-over-k form runs the stock alpha negated."""
         stock = bateman_fit_model(linear_term=linear_term)
+        model = replace(stock, alpha=_FORM_SIGN[form] * stock.alpha)
         eps = np.finfo(float).eps
-        for model in (stock, replace(stock, alpha=-stock.alpha)):
-            for n, k in _row_samples():
-                for method in (model.raw_sensitivity, model.sensitivity):
-                    row = method(n, k)
-                    assert row.shape == k.shape and row.dtype == np.float64
-                    scalar = [method(n, j) for j in k.tolist()]
-                    np.testing.assert_allclose(row, scalar, rtol=2 * eps, atol=2 * eps)
-            grid = np.array([[1, 2], [3, 10]])
-            assert model.sensitivity(10, grid).shape == (2, 2)
-            clamped = [[model.is_clamped(10, j) for j in row] for row in grid.tolist()]
-            assert model.is_clamped(10, grid).tolist() == clamped
+        for n, k in _row_samples():
+            for method in (model.raw_sensitivity, model.sensitivity):
+                row = method(n, k)
+                assert row.shape == k.shape and row.dtype == np.float64
+                scalar = [method(n, j) for j in k.tolist()]
+                np.testing.assert_allclose(row, scalar, rtol=2 * eps, atol=2 * eps)
+        grid = np.array([[1, 2], [3, 10]])
+        assert model.sensitivity(10, grid).shape == (2, 2)
+        clamped = [[model.is_clamped(10, j) for j in row] for row in grid.tolist()]
+        assert model.is_clamped(10, grid).tolist() == clamped
 
     def test_n_over_k_form_is_the_curve_at_negated_alpha(self):
         """A curve printed with (n/k)^a, written out here as a reference
