@@ -5,11 +5,11 @@ the end form one final short pool of their actual size, with sensitivity
 evaluated at that size. Individual testing runs as pools of one read zero
 times, so every pool goes on to individual reads and every procedure has
 the same layout. Work is split into fixed-size chunks of whole pools, and
-every chunk draws from its own counter-based stream seeded by (seed,
-chunk_index). Because chunk streams are independent and results are
-reduced by integer addition, the outcome is identical for any thread count.
-The Se rows and class laws are built in the calling thread; worker threads
-run chunk code only.
+every chunk draws from its own PCG64 stream, spawned from the seed's
+SeedSequence at key (chunk_index,). Because chunk streams are independent
+and results are reduced by integer addition, the outcome is identical for
+any thread count. The Se rows and class laws are built in the calling
+thread; worker threads run chunk code only.
 
 simulate() runs one of two engines, each one chunk function with a fixed
 draw order, over the same chunks and streams.
@@ -23,11 +23,11 @@ draw order, over the same chunks and streams.
   FP ~ Binomial(sum of n - k over them, 1 - Sp). FN is the chunk's
   positives less TP, and TN the rest.
 - The per-subject engine (per_subject=True), the reference that verify
-  runs, draws subject statuses, then r pool reads per pool, then one
-  individual read per subject, all consumed whether or not the procedure
-  needed them, and applies early-stopped retests logically on top. Its
-  draws do not follow the closed forms' binomial decomposition, which is
-  what makes verify an independent check.
+  runs, draws subject statuses, then r pool reads per pool, all consumed
+  whether or not early stopping needed them, then one individual read per
+  subject of each pool declared positive, and applies early-stopped retests
+  logically on top. Its draws do not follow the closed forms' binomial
+  decomposition, which is what makes verify an independent check.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class SimResult:
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     )
 
 
@@ -176,20 +176,19 @@ def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: in
         # Early stop: reads after the first positive never happen, so a declared
         # positive pool used argmax+1 reads and a negative pool used all r.
         pool_tests = int(np.where(declared, first_positive + 1, law.reads).sum())
+        read_status = status[declared]
     else:
         # No pool stage: every pool goes on to individual reads.
-        declared, pool_tests = np.ones(pools, dtype=bool), 0
+        read_status, pool_tests = status, 0
 
     kit = config.model.kit
-    # One individual read per subject; a subject is classified positive when
-    # its pool was declared positive and its own read came back positive.
-    individual_reads = rng.random(status.shape)
-    positive = (individual_reads < np.where(status, kit.se_i, 1.0 - kit.sp)) & declared[:, None]
-    tp = int(np.count_nonzero(status & positive))
-    fp = int(np.count_nonzero(~status & positive))
-    fn = int(np.count_nonzero(status & ~positive))
-    individual_tests = law.size * int(np.count_nonzero(declared))
-    return pool_tests, individual_tests, tp, fp, status.size - tp - fp - fn, fn
+    # One individual read per subject of a declared positive pool; a subject is
+    # classified positive when its own read comes back positive.
+    individual_reads = rng.random(read_status.shape)
+    tp = int(np.count_nonzero(read_status & (individual_reads < kit.se_i)))
+    fp = int(np.count_nonzero(~read_status & (individual_reads < 1.0 - kit.sp)))
+    positives = int(np.count_nonzero(status))
+    return pool_tests, read_status.size, tp, fp, status.size - positives - fp, positives - tp
 
 
 def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
