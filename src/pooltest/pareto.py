@@ -196,17 +196,8 @@ def min_tests_under_fn_cap(
     cap = float(cap)
     if not math.isfinite(cap) or cap < 0.0:
         raise ValueError(f"cap must be finite and nonnegative, got {cap!r}")
-    feasible = [
-        pt
-        for pt in points
-        if pt.relative_fn_increase <= cap and pt.relative_tests < 1.0
-    ]
-    if not feasible:
-        return None
-    return min(
-        feasible,
-        key=lambda pt: (pt.relative_tests, pt.config.r, pt.config.n),
-    )
+    feasible = (pt for pt in points if pt.relative_fn_increase <= cap and pt.relative_tests < 1.0)
+    return min(feasible, key=lambda pt: (pt.relative_tests, pt.config.r, pt.config.n), default=None)
 
 
 def fp_summary(points: Iterable[ParetoPoint]) -> dict[Procedure, float]:
@@ -219,8 +210,6 @@ def fp_summary(points: Iterable[ParetoPoint]) -> dict[Procedure, float]:
     Families with no non-dominated points are simply absent from the dict.
     """
     points = list(points)
-    if not points:
-        return {}
     if len({pt.p for pt in points}) > 1:
         raise ValueError("cannot summarize points with mixed prevalences")
     summary: dict[Procedure, float] = {}
@@ -302,5 +291,16 @@ def read_sweep_csv(path: str | Path) -> tuple[ParetoPoint, ...]:
 
     Stage diagnostics are not persisted, so reloaded Metrics carry only the
     headline values; dominance flags come back as written, not recomputed.
+    A repeated (p, kind, n, r) row, or a prevalence with no individual row
+    to be relative to, raises ValueError naming the file.
     """
-    return tuple(read_table(path, SWEEP_CSV_COLUMNS, _point_from_row))
+    points = tuple(read_table(path, SWEEP_CSV_COLUMNS, _point_from_row))
+    keys: set[tuple] = set()
+    for key in ((pt.p, pt.kind.value, pt.config.n, pt.config.r) for pt in points):
+        if key in keys:
+            raise ValueError(f"{path}: repeated row for (p, kind, n, r) = {key!r}")
+        keys.add(key)
+    missing = {key[0] for key in keys} - {key[0] for key in keys if key[1] == Procedure.INDIVIDUAL.value}
+    if missing:
+        raise ValueError(f"{path}: no individual row for prevalence {min(missing)!r}")
+    return points

@@ -309,6 +309,16 @@ class TestTablesCommand:
         assert f"pooltest: error: {path}:4: dominated must be 0 or 1, got '7'" in capsys.readouterr().err
         assert not (tmp_path / "tables").exists()
 
+    def test_csv_with_a_repeated_row_exits_one(self, capsys, tmp_path):
+        """A repeated row used to load, and tables exited 0."""
+        assert main(["sweep", *self.GRID, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[3]]) + "\n")
+        assert main(["tables", "--sweep-csv", str(path), "--out", str(tmp_path / "tables")]) == 1
+        assert f"pooltest: error: {path}: repeated row for (p, kind, n, r) = (0.01, " in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
+
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
         def boom(points):
             raise ValueError("synthetic failure")

@@ -351,3 +351,21 @@ class TestSweepCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty file"):
             read_sweep_csv(path)
+
+    def test_rejects_a_repeated_row(self, small_sweep, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_sweep, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[3]]) + "\n")
+        key = (0.01, small_sweep[2].kind.value, small_sweep[2].config.n, small_sweep[2].config.r)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: repeated row for (p, kind, n, r) = {key!r}")):
+            read_sweep_csv(path)
+
+    def test_rejects_a_prevalence_without_its_individual_row(self, small_sweep, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_sweep, path)
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",")[1] == "individual"
+        path.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no individual row for prevalence 0.01")):
+            read_sweep_csv(path)
