@@ -210,6 +210,24 @@ class TestAgreementWithClosedForms:
         np.testing.assert_allclose(result.fp_per_subject, analytic.e_fp, rtol=0.1)
         np.testing.assert_allclose(result.fn_per_subject, analytic.e_fn, rtol=0.4)
 
+    def test_reference_engine_at_scale_within_four_standard_errors(self):
+        """verify's three shapes at p = 0.1 on the per-subject engine.
+
+        A pool's FN or FP count X is at most n, so Var X <= n E[X] whatever
+        the correlation inside the pool, and a rate e over pools of n has a
+        standard error of at most sqrt(n e / subjects).
+        """
+        configs = default_verification_configs(bateman_fit_model(), subjects=1_000_000)
+        for config in (c for c in configs if c.p == 0.1):
+            result = simulate(config, threads=2, per_subject=True)
+            analytic = evaluate(config.model, config.p, config.procedure)
+            for observed, expected in (
+                (result.fn_per_subject, analytic.e_fn),
+                (result.fp_per_subject, analytic.e_fp),
+            ):
+                bound = 4 * math.sqrt(config.procedure.n * expected / config.subjects)
+                assert abs(observed - expected) <= bound, (config, result)
+
 
 class TestVerification:
     def test_rows_cover_kinds_and_metrics(self):
