@@ -296,11 +296,12 @@ def read_sweep_csv(path: str | Path) -> tuple[ParetoPoint, ...]:
     """
     points = tuple(read_table(path, SWEEP_CSV_COLUMNS, _point_from_row))
     keys: set[tuple] = set()
-    for key in ((pt.p, pt.kind.value, pt.config.n, pt.config.r) for pt in points):
+    for key in ((pt.p, pt.config.kind, pt.config.n, pt.config.r) for pt in points):
         if key in keys:
-            raise ValueError(f"{path}: repeated row for (p, kind, n, r) = {key!r}")
+            p, kind, n, r = key
+            raise ValueError(f"{path}: repeated row for p={p!r}, kind={kind.value}, n={n}, r={r}")
         keys.add(key)
-    missing = {key[0] for key in keys} - {key[0] for key in keys if key[1] == Procedure.INDIVIDUAL.value}
+    missing = {key[0] for key in keys} - {key[0] for key in keys if key[1] is Procedure.INDIVIDUAL}
     if missing:
         raise ValueError(f"{path}: no individual row for prevalence {min(missing)!r}")
     return points

@@ -357,8 +357,9 @@ class TestSweepCsv:
         write_sweep_csv(small_sweep, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([*lines, lines[3]]) + "\n")
-        key = (0.01, small_sweep[2].kind.value, small_sweep[2].config.n, small_sweep[2].config.r)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: repeated row for (p, kind, n, r) = {key!r}")):
+        config = small_sweep[2].config
+        repeated = f"{path}: repeated row for p=0.01, kind={config.kind.value}, n={config.n}, r={config.r}"
+        with pytest.raises(ValueError, match=re.escape(repeated)):
             read_sweep_csv(path)
 
     def test_rejects_a_prevalence_without_its_individual_row(self, small_sweep, tmp_path):
