@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .csvio import read_table
 from .kernels import check_pool_size, is_whole
@@ -197,6 +196,8 @@ def fit_dilution_model(
     fitting the unclamped values keeps the objective smooth where the clamp
     would flatten it. The returned model clamps as usual when evaluated.
     """
+    from scipy import optimize  # only `fit` pays for its import
+
     observations = tuple(observations)
     if len(observations) < 2:
         raise ValueError(f"need at least 2 observations to fit 2 parameters, got {len(observations)}")

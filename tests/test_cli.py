@@ -364,6 +364,27 @@ class TestTopLevel:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, f"pooltest {__version__}\n", "")
 
+    def test_loads_only_the_scipy_it_runs(self):
+        """evaluate and simulate load neither scipy.stats nor scipy.optimize;
+        fit loads scipy.optimize when it runs."""
+        script = (
+            "import sys\n"
+            "from pooltest.cli import main\n"
+            "def loaded(): return [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
+            "assert main(['evaluate', '--kind', 'modified', '--n', '10', '--r', '3', '--p', '0.01']) == 0\n"
+            "assert main(['simulate', '--kind', 'modified', '--n', '10', '--r', '3', '--p', '0.01',"
+            " '--subjects', '1000']) == 0\n"
+            "before = loaded()\n"
+            "assert main(['fit']) == 0\n"
+            "print(before, loaded())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "[] ['scipy.optimize']"
+
 
 class TestGoldenOutputs:
     """Every file a command writes, run record included, pinned byte for byte.

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import pooltest.dilution as dilution_module
 from pooltest import (
     BATEMAN_POOL_SENSITIVITIES,
     DEFAULT_KIT,
@@ -302,9 +301,7 @@ class TestFit:
             message = "simplex collapsed"
             nit = 17
 
-        monkeypatch.setattr(
-            dilution_module.optimize, "minimize", lambda *a, **k: _Stuck()
-        )
+        monkeypatch.setattr("scipy.optimize.minimize", lambda *a, **k: _Stuck())
         with pytest.raises(FitConvergenceError, match="simplex collapsed") as info:
             fit_dilution_model(BATEMAN_POOL_SENSITIVITIES)
         assert info.value.alpha == 0.123

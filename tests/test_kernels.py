@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pooltest import bateman_fit_model, kernels, pool_test_outcome_probs
 from pooltest.kernels import (
@@ -101,6 +102,17 @@ class TestBinomialPmf:
         for row, size in zip(rows, sizes.tolist()):
             np.testing.assert_array_equal(row[: size + 1], binomial_pmf_row(size, p))
             assert not row[size + 1 :].any()
+
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 0.001, 0.3, 1.0 - 1e-6, 1.0])
+    def test_equals_scipy_stats_bit_for_bit(self, p):
+        """The private ufunc gives exactly what the public scipy.stats.binom.pmf
+        gives; a scipy that renames or changes it fails here."""
+        sizes = [0, 1, 15, 16, 49, 500, 641, 789, 10_000]
+        for n in (*sizes, np.array(sizes[::-1])):
+            expected = stats.binom.pmf(np.arange(np.max(n) + 1), np.asarray(n)[..., None], p)
+            np.testing.assert_array_equal(
+                binomial_pmf_row(n, p).view(np.uint64), expected.view(np.uint64)
+            )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n must be"):
