@@ -46,8 +46,6 @@ DEFAULT_SWEEP_PREVALENCES = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.
 # Allowed growth of E(FN) relative to individual testing: 100%, 10%, 1%.
 FN_INCREASE_CAPS = (1.0, 0.1, 0.01)
 
-_KIND_ORDER = {Procedure.INDIVIDUAL: 0, Procedure.DORFMAN: 1, Procedure.MODIFIED: 2}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -180,7 +178,8 @@ def sweep(spec: SweepSpec) -> tuple[ParetoPoint, ...]:
                     dominated_joint=i not in joint_front,
                 )
             )
-    points.sort(key=lambda pt: (pt.p, _KIND_ORDER[pt.kind], pt.config.n, pt.config.r))
+    # Each prevalence's points are built in kind, n, r order; the sort is stable.
+    points.sort(key=lambda pt: pt.p)
     return tuple(points)
 
 

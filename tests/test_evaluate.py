@@ -261,8 +261,8 @@ class TestBatchedOutcomes:
 
     def test_every_r_of_one_kernel_call_matches_single_r(self):
         """One pool_outcomes per (p, n) read at each r, and the sweep's path
-        (one kernel call over a run of pool sizes, padded to the largest),
-        against one evaluation per configuration."""
+        (one kernel call over a run of pool sizes), against one evaluation per
+        configuration."""
         rng = np.random.default_rng(6007)
         for _ in range(25):
             model = _random_model(rng)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pooltest import bateman_fit_model, kernels, pool_test_outcome_probs
+from pooltest import bateman_fit_model, pool_test_outcome_probs
 from pooltest.kernels import (
     PoolOutcomes,
     binomial_pmf_row,
@@ -78,6 +78,8 @@ class TestBinomialPmf:
             for p in (0.001, 0.3, 0.97):
                 row = binomial_pmf_row(n, p)
                 assert abs(row.sum() - 1.0) <= 1e-12
+        # A numpy integer size of any width gives its whole row.
+        assert abs(binomial_pmf_row(np.uint8(255), 0.5).sum() - 1.0) <= 1e-12
 
     def test_reduced_row_is_normalized(self):
         """The reweighted counts Pr(k-1; n-1, p) used for a known-positive
@@ -95,24 +97,25 @@ class TestBinomialPmf:
             np.testing.assert_allclose(row[k], float(exact), rtol=1e-13)
 
     @pytest.mark.parametrize("p", [0.0, 1e-12, 0.013, 0.5, 1.0 - 1e-12, 1.0])
-    def test_rows_of_many_sizes_are_the_per_size_rows_zero_padded(self, p):
-        sizes = np.array([7, 0, 130, 1, 64])
-        rows = binomial_pmf_row(sizes, p)
-        assert rows.shape == (5, 131)
-        for row, size in zip(rows, sizes.tolist()):
-            np.testing.assert_array_equal(row[: size + 1], binomial_pmf_row(size, p))
-            assert not row[size + 1 :].any()
+    def test_rows_of_many_prevalences_are_the_scalar_rows(self, p):
+        prevalences = np.array([[p, 0.0, 0.3], [1.0 - p, 1.0, 1e-12]])
+        for n in (7, 0, 130, 1, 64):
+            rows = binomial_pmf_row(n, prevalences)
+            assert rows.shape == (2, 3, n + 1)
+            for row, q in zip(rows.reshape(6, n + 1), prevalences.ravel().tolist()):
+                np.testing.assert_array_equal(row, binomial_pmf_row(n, q))
 
     @pytest.mark.parametrize("p", [0.0, 1e-6, 0.001, 0.3, 1.0 - 1e-6, 1.0])
     def test_equals_scipy_stats_bit_for_bit(self, p):
         """The private ufunc gives exactly what the public scipy.stats.binom.pmf
-        gives; a scipy that renames or changes it fails here."""
-        sizes = [0, 1, 15, 16, 49, 500, 641, 789, 10_000]
-        for n in (*sizes, np.array(sizes[::-1])):
-            expected = stats.binom.pmf(np.arange(np.max(n) + 1), np.asarray(n)[..., None], p)
-            np.testing.assert_array_equal(
-                binomial_pmf_row(n, p).view(np.uint64), expected.view(np.uint64)
-            )
+        gives, for a scalar p and as one row of an array of p; a scipy that
+        renames or changes it fails here."""
+        for n in (0, 1, 15, 16, 49, 500, 641, 789, 10_000):
+            for probs in (p, np.array([p, 1.0 - p, 0.013])):
+                expected = stats.binom.pmf(np.arange(n + 1), n, np.asarray(probs)[..., None])
+                np.testing.assert_array_equal(
+                    binomial_pmf_row(n, probs).view(np.uint64), expected.view(np.uint64)
+                )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -122,10 +125,14 @@ class TestBinomialPmf:
                 binomial_pmf_row(bad, 0.5)
             with pytest.raises(ValueError, match="n must be"):
                 binomial_pmf_row(np.append(3.0, bad), 0.5)
-        with pytest.raises(ValueError, match="p must lie"):
-            binomial_pmf_row(5, 1.5)
-        with pytest.raises(ValueError, match="p must lie"):
-            binomial_pmf_row(5, -0.1)
+        # One size per call: an array of sizes, even an integer one, is refused,
+        # and so is a bool.
+        for bad in (np.array([3, 4]), np.array([5]), True, np.True_):
+            with pytest.raises(ValueError, match="n must be"):
+                binomial_pmf_row(bad, 0.5)
+        for bad in (1.5, -0.1, np.array([0.2, 1.5]), [0.0, -1e-300], [0.3, float("nan")]):
+            with pytest.raises(ValueError, match="p must lie"):
+                binomial_pmf_row(5, bad)
 
 
 class TestPoolPositiveProb:
@@ -322,21 +329,22 @@ class TestPoolOutcomes:
         np.testing.assert_allclose(constant.detected_share, [0.0, 0.5, 0.75], rtol=1e-15)
         np.testing.assert_allclose(constant.false_alarm_share, [0.0, 0.18, 0.27], rtol=1e-14)
 
-    def test_many_sizes_in_chunks_match_per_size_calls(self, monkeypatch):
-        """Under a small tensor cap the sizes split into several chunks, each
-        padded to its largest size; every entry must match the length-1 call
-        for its own (n, p), at r_max = 100 and at prevalences 1e-12 from 0
-        and from 1."""
-        monkeypatch.setattr(kernels, "TENSOR_BYTES", 200_000)
+    def test_many_sizes_in_chunks_match_per_size_calls(self):
+        """A size's entries do not depend on the other sizes of the call: the
+        grid, the same sizes split into chunks, and the length-1 call for each
+        (n, p) agree, at r_max = 100 and at prevalences 1e-12 from 0 and
+        from 1."""
         model = bateman_fit_model()
         sizes = [41, 2, 97, 13, 5, 40, 8, 3, 120]
         prevalences = [1e-12, 0.02, 1.0 - 1e-12]
-        chunks = [sorted(sizes)[chunk] for chunk in kernels._size_chunks(sorted(sizes), 101)]
-        assert len(chunks) > 2 and sum(chunks, []) == sorted(sizes)
-        for chunk in chunks:
-            assert len(chunk) == 1 or len(chunk) * 2 * 101 * (chunk[-1] + 1) * 8 <= 200_000
         grid = pool_outcomes(model, sizes, prevalences, model.kit.sp, 100)
         assert (grid.n, grid.p) == (tuple(sizes), tuple(prevalences))
+        for chunk in (slice(0, 4), slice(4, 5), slice(5, None)):
+            part = pool_outcomes(model, sizes[chunk], prevalences, model.kit.sp, 100)
+            for name in PoolOutcomes._fields[4:]:
+                np.testing.assert_array_equal(
+                    getattr(grid, name)[:, chunk], getattr(part, name), err_msg=name
+                )
         for i, p in enumerate(prevalences):
             for j, n in enumerate(sizes):
                 single = pool_outcomes(model, n, p, model.kit.sp, 100)

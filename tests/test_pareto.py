@@ -21,7 +21,6 @@ from pooltest import (
     sweep,
     write_sweep_csv,
 )
-from pooltest.kernels import TENSOR_BYTES
 from pooltest.pareto import SWEEP_CSV_COLUMNS, _non_dominated_indices
 
 from _oracles import brute_force_front
@@ -161,20 +160,22 @@ class TestSweep:
                 assert {idx[j] for j in front} == {i for i in idx if not at_p[i].dominated}
 
     def test_memory_stays_near_the_tensor_cap_at_the_largest_pools(self):
-        """Padded to n = 10,000 at r = 100, one size's miss tensor and its
-        complement take 16 MB, so the sweep must take its sizes in chunks and
-        hold one chunk's tensor at a time; numpy reports its buffers to
+        """At n = 10,000 and r = 100 one size's miss tensor and its complement
+        take 16 MB. The kernel takes one size at a time and serves every
+        prevalence from that tensor, so that is the cap the sweep's peak must
+        stay near, at one prevalence or several; numpy reports its buffers to
         tracemalloc."""
-        spec = SweepSpec((0.01,), (9_990, 10_000), (1, 100))
-        tracemalloc.start()
-        try:
-            points = sweep(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(points) == 1 + 11 + 11 * 100
         one_size = 2 * 101 * 10_001 * 8
-        assert one_size < peak < 1.5 * TENSOR_BYTES
+        for prevalences in ((0.01,), (0.001, 0.01, 0.05, 0.2, 0.3)):
+            spec = SweepSpec(prevalences, (9_990, 10_000), (1, 100))
+            tracemalloc.start()
+            try:
+                points = sweep(spec)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(points) == len(prevalences) * (1 + 11 + 11 * 100)
+            assert one_size < peak < 3 * one_size, (prevalences, peak / one_size)
 
     def test_joint_front_prefers_retesting_on_misses(self, small_sweep):
         """Any single-read pooled point is matched or beaten on false
