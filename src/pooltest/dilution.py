@@ -100,8 +100,9 @@ class DilutionModel:
         coefficient = self.kit.se_i + self.kit.sp - 1.0
         # Overflow gives IEEE +-inf, and Se clamps to the bound the term points at.
         with np.errstate(over="ignore", invalid="ignore"):
-            valid = (1 <= k) & (k <= n) & (k % 1 == 0)  # nan and inf fail the range test
-            if not valid.all():
+            # nan and inf fail the range test; an integer array is whole already.
+            if k.size and not (1 <= k.min() and k.max() <= n and (k.dtype.kind in "iu" or (k % 1 == 0).all())):
+                valid = (1 <= k) & (k <= n) & (k % 1 == 0)
                 raise ValueError(f"k must be an integer in [1, {n}], got {k[~valid].tolist()[0]!r}")
             ratio = k / n
             size = n if self.linear_term == LINEAR_POOL_SIZE else k
@@ -118,8 +119,10 @@ class DilutionModel:
 
     def sensitivity(self, n: int, k):
         """Se(n, k), clamped into [0, 1]; a float for an int k, an array for an array k."""
-        se = np.minimum(np.maximum(self.raw_sensitivity(n, k), 0.0), 1.0)
-        return se if se.ndim else float(se)
+        raw = self.raw_sensitivity(n, k)
+        if isinstance(raw, float):
+            return min(max(raw, 0.0), 1.0)
+        return np.minimum(np.maximum(raw, 0.0, out=raw), 1.0, out=raw)
 
     def is_clamped(self, n: int, k):
         """True where the raw curve leaves [0, 1] at (n, k) and clamping bites."""

@@ -17,6 +17,28 @@ def exact_binomial_pmf(k: int, n: int, p: Fraction) -> Fraction:
     return Fraction(math.comb(n, k)) * p**k * (1 - p) ** (n - k)
 
 
+def exact_binomial_floats(n: int, p: float, ks=None) -> list[float]:
+    """float(exact_binomial_pmf(k, n, Fraction(p))) for each k in ks, all k by default.
+
+    With p = a/b, every entry is the integer C(n,k) a^k (b-a)^(n-k) over b^n,
+    and Python rounds an integer quotient correctly, so each float is the
+    exact pmf rounded once. That skips the Fraction's gcds on integers of
+    n * 53 bits. The whole row walks the numerators with the exact recurrence
+    N(k+1) = N(k) (n-k) a / ((k+1) (b-a)).
+    """
+    a, b = p.as_integer_ratio()
+    c, den = b - a, b**n
+    if ks is not None:
+        return [math.comb(n, k) * a**k * c ** (n - k) / den for k in ks]
+    if not c:
+        return [0.0] * n + [1.0]
+    row, num = [], c**n
+    for k in range(n + 1):
+        row.append(num / den)
+        num = num * (n - k) * a // ((k + 1) * c)
+    return row
+
+
 def exact_pool_positive_prob(p: Fraction, n: int) -> Fraction:
     return 1 - (1 - p) ** n
 

@@ -364,26 +364,31 @@ class TestTopLevel:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, f"pooltest {__version__}\n", "")
 
-    def test_loads_only_the_scipy_it_runs(self):
-        """evaluate and simulate load neither scipy.stats nor scipy.optimize;
-        fit loads scipy.optimize when it runs."""
+    def test_loads_only_the_scipy_it_runs(self, tmp_path):
+        """evaluate, simulate, sweep, tables and verify load no scipy module at
+        all; fit loads scipy.optimize when it runs."""
+        grid = "'--p', '0.01', '--n-min', '2', '--n-max', '4', '--r-min', '2', '--r-max', '3'"
         script = (
             "import sys\n"
             "from pooltest.cli import main\n"
-            "def loaded(): return [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
+            "def loaded(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "assert main(['evaluate', '--kind', 'modified', '--n', '10', '--r', '3', '--p', '0.01']) == 0\n"
             "assert main(['simulate', '--kind', 'modified', '--n', '10', '--r', '3', '--p', '0.01',"
             " '--subjects', '1000']) == 0\n"
+            f"assert main(['sweep', {grid}, '--out', 'sweep']) == 0\n"
+            f"assert main(['tables', {grid}, '--out', 'tables']) == 0\n"
+            "assert main(['tables', '--sweep-csv', 'sweep/sweep.csv', '--out', 'tables']) == 0\n"
+            "assert main(['verify', '--subjects', '2000']) == 0\n"
             "before = loaded()\n"
             "assert main(['fit']) == 0\n"
-            "print(before, loaded())\n"
+            "print(before, 'scipy.optimize' in loaded())\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False, cwd=tmp_path
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-1] == "[] ['scipy.optimize']"
+        assert done.stdout.splitlines()[-1] == "[] True"
 
 
 class TestGoldenOutputs:

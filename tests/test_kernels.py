@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pooltest import bateman_fit_model, pool_test_outcome_probs
+from pooltest import ProcedureConfig, bateman_fit_model, evaluate, pool_test_outcome_probs
 from pooltest.kernels import (
     PoolOutcomes,
     binomial_pmf_row,
@@ -18,6 +20,7 @@ from pooltest.kernels import (
 )
 
 from _oracles import (
+    exact_binomial_floats,
     exact_binomial_pmf,
     exact_pool_positive_prob,
     exact_pool_sensitivity_avg,
@@ -39,6 +42,18 @@ def _single_read_positive(model, n: int, p: float, sp: float = 1.0) -> float:
 
 def _exact_row(n: int, p: Fraction) -> list[float]:
     return [float(exact_binomial_pmf(k, n, p)) for k in range(n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _exact_entries(n: int, p: float) -> tuple[list[int], np.ndarray]:
+    """(k, exact pmf at k) for every k, or above n = 1,000 for both ends, the
+    low and high counts, and the mean and +-3, 10 and 30 sd."""
+    if n <= 1_000:
+        return list(range(n + 1)), np.array(exact_binomial_floats(n, p))
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    around = (round(mean + z * sd) for z in (-30, -10, -3, 0, 3, 10, 30))
+    ks = sorted(k for k in {0, 1, 5, 50, n - 50, n - 5, n - 1, n, *around} if 0 <= k <= n)
+    return ks, np.array(exact_binomial_floats(n, p, ks))
 
 
 # int() raises OverflowError for an infinity and a ValueError naming no field for NaN.
@@ -105,17 +120,51 @@ class TestBinomialPmf:
             for row, q in zip(rows.reshape(6, n + 1), prevalences.ravel().tolist()):
                 np.testing.assert_array_equal(row, binomial_pmf_row(n, q))
 
+    def test_exact_floats_are_the_rational_pmf(self):
+        """The fast oracle agrees with the Fraction one, whole row and sampled k."""
+        for n, p in ((12, 0.2), (30, 0.013), (7, 1.0), (7, 0.0), (0, 0.3)):
+            exact = [float(exact_binomial_pmf(k, n, Fraction(p))) for k in range(n + 1)]
+            assert exact_binomial_floats(n, p) == exact
+            assert exact_binomial_floats(n, p, range(n, -1, -1)) == exact[::-1]
+
     @pytest.mark.parametrize("p", [0.0, 1e-6, 0.001, 0.3, 1.0 - 1e-6, 1.0])
-    def test_equals_scipy_stats_bit_for_bit(self, p):
-        """The private ufunc gives exactly what the public scipy.stats.binom.pmf
-        gives, for a scalar p and as one row of an array of p; a scipy that
-        renames or changes it fails here."""
+    def test_within_1e12_of_the_exact_pmf(self, p):
+        """Every entry of at least 1e-290 lies within 1e-12 relative of the exact
+        pmf, for a scalar p and as one row of an array of p; at n = 10,000 at
+        k sampled over the row's bulk and both tails."""
         for n in (0, 1, 15, 16, 49, 500, 641, 789, 10_000):
             for probs in (p, np.array([p, 1.0 - p, 0.013])):
-                expected = stats.binom.pmf(np.arange(n + 1), n, np.asarray(probs)[..., None])
-                np.testing.assert_array_equal(
-                    binomial_pmf_row(n, probs).view(np.uint64), expected.view(np.uint64)
-                )
+                rows = binomial_pmf_row(n, probs).reshape(-1, n + 1)
+                for row, q in zip(rows, np.ravel(probs).tolist()):
+                    ks, exact = _exact_entries(n, q)
+                    kept = exact >= 1e-290
+                    np.testing.assert_allclose(row[ks][kept], exact[kept], rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 10_000),
+        st.floats(-1074.0, 0.0).map(lambda e: 2.0**e),
+        st.booleans(),
+    )
+    @example(10, 5e-324, False)
+    @example(10_000, 5e-324, False)
+    @example(10_000, 1e-310, False)
+    @example(10, 0.0, False)
+    @example(10_000, 1.0, False)
+    @example(10_000, 2.0**-53, True)
+    @example(1, 2.0**-53, True)
+    def test_rows_are_distributions_over_the_domain(self, n, p, complement):
+        """p log-uniform down to the least subnormal, or one minus it."""
+        p = 1.0 - p if complement else p
+        row = binomial_pmf_row(n, p)
+        assert np.isfinite(row).all() and ((0.0 <= row) & (row <= 1.0)).all()
+        assert abs(row.sum() - 1.0) <= 1e-13
+
+    def test_evaluate_at_the_least_subnormal_prevalence(self):
+        model = bateman_fit_model()
+        for config in (ProcedureConfig("modified", n=10, r=3), ProcedureConfig("dorfman", n=10_000)):
+            metrics = evaluate(model, 5e-324, config)
+            assert all(math.isfinite(value) for value in vars(metrics).values()), metrics
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n must be"):
