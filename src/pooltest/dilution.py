@@ -1,4 +1,4 @@
-"""Pool sensitivity under dilution, and the least-squares calibration of it.
+"""Pool sensitivity under dilution, and its calibration by profile least squares.
 
 A pooled specimen with k positives out of n subjects is detected with
 probability
@@ -170,7 +170,7 @@ def bateman_fit_model(kit: TestKit = DEFAULT_KIT, *, linear_term: str = LINEAR_P
 
 
 class FitConvergenceError(RuntimeError):
-    """Raised when the simplex search gives up; carries the best point seen."""
+    """Raised when the least squares sit on the alpha grid's edge; carries that point."""
 
     def __init__(self, message: str, alpha: float, beta: float, mse: float):
         super().__init__(message)
@@ -187,6 +187,11 @@ class FitResult:
     residuals: tuple[float, ...] = field(repr=False, default=())
 
 
+# |alpha| < 77 keeps (k/n)^alpha finite for every pool of at most MAX_POOL_SIZE.
+ALPHA_GRID = np.arange(-1024, 1025) / 16
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def fit_dilution_model(
     observations: Sequence[SensitivityObservation],
     kit: TestKit = DEFAULT_KIT,
@@ -195,50 +200,45 @@ def fit_dilution_model(
 ) -> FitResult:
     """Least-squares (alpha, beta) for the dilution curve on observed pools.
 
-    Minimizes the mean squared residual of the RAW curve with Nelder-Mead;
-    fitting the unclamped values keeps the objective smooth where the clamp
-    would flatten it. The returned model clamps as usual when evaluated.
+    Minimizes the mean squared residual of the RAW curve, which the clamp
+    would flatten. The raw curve is linear in beta, so each alpha has a
+    closed-form best beta. The least mean squared residual on ALPHA_GRID is
+    narrowed to 1e-12 by golden-section steps (`iterations`) between its two
+    grid neighbours; one on the grid's edge raises FitConvergenceError. The
+    returned model clamps as usual when evaluated.
     """
-    from scipy import optimize  # only `fit` pays for its import
-
     observations = tuple(observations)
-    if len(observations) < 2:
-        raise ValueError(f"need at least 2 observations to fit 2 parameters, got {len(observations)}")
-
+    if len({obs.k / obs.n for obs in observations}) < 2:
+        raise ValueError(f"need at least 2 distinct k/n ratios to fit alpha, got {len(observations)} observations")
     base = DilutionModel(kit=kit, linear_term=linear_term)
+    ratio = np.array([obs.k / obs.n for obs in observations])
+    size = np.array([obs.n if linear_term == LINEAR_POOL_SIZE else obs.k for obs in observations], dtype=float)
+    offset = np.array([obs.se_observed for obs in observations]) - (1.0 - kit.sp)
 
-    def objective(params) -> float:
-        model = replace(base, alpha=float(params[0]), beta=float(params[1]))
-        total = 0.0
-        for obs in observations:
-            resid = model.raw_sensitivity(obs.n, obs.k) - obs.se_observed
-            total += resid * resid
-        return total / len(observations)
+    def profile(alpha: float) -> tuple[float, float]:
+        """(mse, beta) at alpha and its best beta; squares may overflow to inf."""
+        rest = offset - (kit.se_i + kit.sp - 1.0) * ratio**alpha
+        beta = float(size @ rest) / float(size @ size)
+        resid = rest - beta * size
+        return float(resid @ resid) / len(resid), beta
 
-    result = optimize.minimize(
-        objective,
-        x0=[0.05, 0.0],
-        method="Nelder-Mead",
-        options=dict(xatol=1e-10, fatol=1e-14, maxiter=100_000, maxfev=100_000),
-    )
-    alpha, beta = float(result.x[0]), float(result.x[1])
-    if not result.success:
-        raise FitConvergenceError(
-            f"dilution fit did not converge: {result.message}",
-            alpha=alpha,
-            beta=beta,
-            mse=float(result.fun),
-        )
-    model = replace(base, alpha=alpha, beta=beta)
-    residuals = tuple(
-        model.raw_sensitivity(obs.n, obs.k) - obs.se_observed for obs in observations
-    )
-    return FitResult(
-        model=model,
-        mse=float(result.fun),
-        iterations=int(result.nit),
-        residuals=residuals,
-    )
+    with np.errstate(over="ignore"):
+        best = int(np.argmin([profile(alpha)[0] for alpha in ALPHA_GRID]))
+        edge = best in (0, ALPHA_GRID.size - 1)
+        lo, hi = map(float, ALPHA_GRID[[best, best] if edge else [best - 1, best + 1]])
+        steps = 0
+        while hi - lo > 1e-12:  # golden-section steps, taking the profile as unimodal here
+            steps += 1
+            x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+            lo, hi = (lo, x2) if profile(x1)[0] <= profile(x2)[0] else (x1, hi)
+        alpha = (lo + hi) / 2.0
+        model = replace(base, alpha=alpha, beta=profile(alpha)[1])
+        residuals = tuple(model.raw_sensitivity(obs.n, obs.k) - obs.se_observed for obs in observations)
+        mse = math.fsum(r * r for r in residuals) / len(residuals)
+    if edge:
+        message = f"dilution fit did not converge: least squares at the alpha grid's edge, alpha = {alpha:g}"
+        raise FitConvergenceError(message, alpha=alpha, beta=model.beta, mse=mse)
+    return FitResult(model=model, mse=mse, iterations=steps, residuals=residuals)
 
 
 def load_observations(path: str | Path) -> tuple[SensitivityObservation, ...]:

@@ -221,6 +221,18 @@ class TestFitCommand:
         assert main(["fit", "--fit-data", str(tmp_path / "nope.csv")]) == 1
         capsys.readouterr()
 
+    def test_one_ratio_exits_one(self, capsys, tmp_path):
+        """Pools that all share one k/n ratio leave alpha unidentified."""
+        data = tmp_path / "obs.csv"
+        data.write_text("n,k,se\n5,1,0.5\n5,1,0.9\n")
+        assert main(["fit", "--fit-data", str(data)]) == 1
+        assert "at least 2 distinct k/n ratios" in capsys.readouterr().err
+
+    def test_kit_without_dilution_exits_two(self, capsys):
+        """With se_i + sp = 1 the curve ignores alpha, so no alpha is the fit."""
+        assert main(["fit", "--se-i", "0.5", "--sp", "0.5"]) == 2
+        assert "grid's edge" in capsys.readouterr().err
+
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         def stuck(*args, **kwargs):
             raise FitConvergenceError("simplex collapsed", alpha=0.1, beta=-0.001, mse=0.5)
@@ -364,14 +376,14 @@ class TestTopLevel:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, f"pooltest {__version__}\n", "")
 
-    def test_loads_only_the_scipy_it_runs(self, tmp_path):
-        """evaluate, simulate, sweep, tables and verify load no scipy module at
-        all; fit loads scipy.optimize when it runs."""
+    def test_runs_without_scipy(self, tmp_path):
+        """Every command, fit included, runs where scipy cannot be imported."""
+        (tmp_path / "obs.csv").write_text("n,k,se\n1,1,0.99\n5,1,0.93\n10,1,0.91\n50,1,0.81\n")
         grid = "'--p', '0.01', '--n-min', '2', '--n-max', '4', '--r-min', '2', '--r-max', '3'"
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from pooltest.cli import main\n"
-            "def loaded(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "assert main(['evaluate', '--kind', 'modified', '--n', '10', '--r', '3', '--p', '0.01']) == 0\n"
             "assert main(['simulate', '--kind', 'modified', '--n', '10', '--r', '3', '--p', '0.01',"
             " '--subjects', '1000']) == 0\n"
@@ -379,16 +391,16 @@ class TestTopLevel:
             f"assert main(['tables', {grid}, '--out', 'tables']) == 0\n"
             "assert main(['tables', '--sweep-csv', 'sweep/sweep.csv', '--out', 'tables']) == 0\n"
             "assert main(['verify', '--subjects', '2000']) == 0\n"
-            "before = loaded()\n"
             "assert main(['fit']) == 0\n"
-            "print(before, 'scipy.optimize' in loaded())\n"
+            "assert main(['fit', '--fit-data', 'obs.csv']) == 0\n"
+            "print('all ran')\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False, cwd=tmp_path
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-1] == "[] True"
+        assert done.stdout.splitlines()[-1] == "all ran"
 
 
 class TestGoldenOutputs:
@@ -475,15 +487,23 @@ _PREVALENCES = st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), _TINY, _TINY.map
 _POOL_SIZES = st.one_of(st.integers(2, 60), st.integers(2, 10_000))
 
 
+_RATES = st.floats(0.0, 1.0, exclude_min=True)
+_LINEAR_TERMS = st.sampled_from(["pool-size", "positives"])
+# fit observations: (n, k, se) with n <= 10,000, 1 <= k <= n and se in [0, 1].
+_OBSERVATION_ROWS = st.lists(
+    st.integers(1, 10_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.floats(0.0, 1.0))),
+    min_size=2, max_size=8,
+)
+
+
 @st.composite
 def _model_flags(draw):
     """The dilution-model flags over the accepted domain, floats written with repr."""
-    rate = st.floats(0.0, 1.0, exclude_min=True)
     coefficient = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e308, 1e308))
     return [
-        "--se-i", repr(draw(rate)), "--sp", repr(draw(rate)),
+        "--se-i", repr(draw(_RATES)), "--sp", repr(draw(_RATES)),
         "--alpha", repr(draw(coefficient)), "--beta", repr(draw(coefficient)),
-        "--linear-term", draw(st.sampled_from(["pool-size", "positives"])),
+        "--linear-term", draw(_LINEAR_TERMS),
     ]
 
 
@@ -559,3 +579,16 @@ class TestMainOverTheDomain:
             code, _ = _run(["tables", "--sweep-csv", csv_path, "--out", str(tmp_path / "csv")])
             assert code == 0
         _run(["tables", *grid, *model, "--out", str(tmp_path / "memory")])
+
+    @settings(_DOMAIN, max_examples=30)
+    @given(_OBSERVATION_ROWS, _RATES, _RATES, _LINEAR_TERMS)
+    def test_fit(self, tmp_path, rows, se_i, sp, linear_term):
+        data = tmp_path / "obs.csv"
+        data.write_text("n,k,se\n" + "".join(f"{n},{k},{se!r}\n" for n, k, se in rows))
+        code, out = _run([
+            "fit", "--fit-data", str(data), "--se-i", repr(se_i), "--sp", repr(sp), "--linear-term", linear_term,
+        ])
+        if code == 0:
+            for key in ("alpha", "beta", "mse"):
+                value = _parse_pairs(out)[key]
+                assert math.isfinite(float(value)), (key, value)

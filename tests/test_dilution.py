@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pooltest import (
     BATEMAN_POOL_SENSITIVITIES,
@@ -18,7 +20,7 @@ from pooltest import (
     fit_dilution_model,
     load_observations,
 )
-from pooltest.dilution import LINEAR_POSITIVES
+from pooltest.dilution import LINEAR_POOL_SIZE, LINEAR_POSITIVES
 
 
 class TestTestKit:
@@ -293,20 +295,68 @@ class TestFit:
         with pytest.raises(ValueError, match="at least 2"):
             fit_dilution_model(BATEMAN_POOL_SENSITIVITIES[:1])
 
-    def test_nonconvergence_carries_best_point(self, monkeypatch):
-        class _Stuck:
-            success = False
-            x = np.array([0.123, -0.004])
-            fun = 0.5
-            message = "simplex collapsed"
-            nit = 17
+    def test_one_ratio_does_not_identify_alpha(self):
+        same_ratio = [
+            SensitivityObservation(n=5, k=1, se_observed=0.5),
+            SensitivityObservation(n=10, k=2, se_observed=0.9),
+        ]
+        with pytest.raises(ValueError, match="at least 2 distinct k/n ratios"):
+            fit_dilution_model(same_ratio)
 
-        monkeypatch.setattr("scipy.optimize.minimize", lambda *a, **k: _Stuck())
-        with pytest.raises(FitConvergenceError, match="simplex collapsed") as info:
-            fit_dilution_model(BATEMAN_POOL_SENSITIVITIES)
-        assert info.value.alpha == 0.123
-        assert info.value.beta == -0.004
-        assert info.value.mse == 0.5
+    def test_nonconvergence_carries_best_point(self):
+        """With se_i + sp = 1 alpha leaves the curve: the profile is flat and
+        its least value sits on the grid's edge."""
+        kit = TestKit(se_i=0.5, sp=0.5)
+        with pytest.raises(FitConvergenceError, match="edge") as info:
+            fit_dilution_model(BATEMAN_POOL_SENSITIVITIES, kit)
+        error = info.value
+        assert error.alpha in (-64.0, 64.0)
+        size = np.array([obs.n for obs in BATEMAN_POOL_SENSITIVITIES], dtype=float)
+        rest = np.array([obs.se_observed for obs in BATEMAN_POOL_SENSITIVITIES]) - (1.0 - kit.sp)
+        np.testing.assert_allclose(error.beta, size @ rest / (size @ size), rtol=1e-12)
+        at_edge = DilutionModel(kit=kit, alpha=error.alpha, beta=error.beta)
+        np.testing.assert_allclose(error.mse, _raw_mse(at_edge, BATEMAN_POOL_SENSITIVITIES), rtol=1e-12)
+
+    @pytest.mark.parametrize("rate, bound", [(0.3, 0.0144905), (1e-9, 4.6966e-05)])
+    def test_reaches_the_least_squares_of_poor_kits(self, rate, bound):
+        """A local search from alpha = 0.05 stops at mse 0.137816 and 0.247149 here."""
+        result = fit_dilution_model(BATEMAN_POOL_SENSITIVITIES, TestKit(se_i=rate, sp=rate))
+        assert result.mse <= bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.integers(1, 10_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.floats(0.0, 1.0))),
+            min_size=2, max_size=8,
+        ),
+        st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True)),
+        st.sampled_from([LINEAR_POOL_SIZE, LINEAR_POSITIVES]),
+        st.lists(st.tuples(st.floats(-64.0, 64.0), st.floats(-2.0, 2.0)), min_size=1, max_size=20),
+    )
+    def test_no_sampled_point_beats_the_fit(self, rows, rates, linear_term, candidates):
+        """The reported mse is that of the residuals, and no (alpha, beta) in
+        the grid's range, nor alpha with its best beta, has a lower raw mse."""
+        observations = [SensitivityObservation(n=n, k=k, se_observed=se) for n, k, se in rows]
+        kit = TestKit(*rates)
+        try:
+            result = fit_dilution_model(observations, kit, linear_term=linear_term)
+        except (ValueError, FitConvergenceError):
+            return
+        assert math.isclose(result.mse, np.mean(np.square(result.residuals)), rel_tol=1e-12)
+        size = np.array([n if linear_term == LINEAR_POOL_SIZE else k for n, k, _ in rows], dtype=float)
+        for alpha, beta in candidates:
+            model = DilutionModel(kit=kit, alpha=alpha, beta=beta, linear_term=linear_term)
+            rest = [obs.se_observed - model.raw_sensitivity(obs.n, obs.k) + beta * s
+                    for obs, s in zip(observations, size)]
+            best_beta = float(size @ np.array(rest)) / float(size @ size)
+            for candidate in (model, replace(model, beta=best_beta)):
+                assert _raw_mse(candidate, observations) >= result.mse * (1.0 - 1e-9) - 1e-15, candidate
+
+
+def _raw_mse(model, observations):
+    """The mean squared residual of the unclamped curve, inf where a square overflows."""
+    residuals = [model.raw_sensitivity(obs.n, obs.k) - obs.se_observed for obs in observations]
+    return sum(r * r for r in residuals) / len(residuals)
 
 
 class TestLoadObservations:
