@@ -234,7 +234,7 @@ def fit_dilution_model(
         alpha = (lo + hi) / 2.0
         model = replace(base, alpha=alpha, beta=profile(alpha)[1])
         residuals = tuple(model.raw_sensitivity(obs.n, obs.k) - obs.se_observed for obs in observations)
-        mse = math.fsum(r * r for r in residuals) / len(residuals)
+        mse = float(np.mean(np.square(residuals)))
     if edge:
         message = f"dilution fit did not converge: least squares at the alpha grid's edge, alpha = {alpha:g}"
         raise FitConvergenceError(message, alpha=alpha, beta=model.beta, mse=mse)
