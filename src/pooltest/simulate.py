@@ -26,8 +26,12 @@ draw order, over the same chunks and streams.
   runs, draws subject statuses, then r pool reads per pool, all consumed
   whether or not early stopping needed them, then one individual read per
   subject of each pool declared positive, and applies early-stopped retests
-  logically on top. Its draws do not follow the closed forms' binomial
-  decomposition, which is what makes verify an independent check.
+  logically on top. Statuses and individual reads are Bernoulli sequences,
+  one trial per subject, drawn as their successes' cumulative Geometric
+  gaps (over the misses when success is the likelier outcome): the same law
+  as one uniform per subject, at O(successes) draws. Its draws do not follow
+  the closed forms' binomial decomposition and use no pmf row or class law,
+  which is what makes verify an independent check.
 """
 
 from __future__ import annotations
@@ -164,31 +168,45 @@ def _pool_law(config: SimConfig, n: int) -> _PoolLaw:
     )
 
 
+def _successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> np.ndarray:
+    """Successes in each of `blocks` runs of `size` consecutive Bernoulli(q) trials,
+    placed at cumulative Geometric(q) gaps; for q > 1/2 the gaps run between misses."""
+    trials, rate = blocks * size, min(q, 1.0 - q)
+    positions, end = np.empty(0, np.int64), 0
+    while rate > 0.0 and end < trials:
+        # Capped gaps keep the sum in int64: at tiny q rng.geometric gives 2**63 - 1.
+        gaps = rng.geometric(rate, int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1)
+        positions = np.concatenate((positions, end + np.cumsum(np.minimum(gaps, trials + 1))))
+        end = int(positions[-1])
+    counts = np.bincount((positions[: np.searchsorted(positions, trials, "right")] - 1) // size, minlength=blocks)
+    return size - counts if q > 0.5 else counts
+
+
 def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
     """Per-subject reference: every status and read of `pools` pools, one chunk, one stream."""
     rng = _chunk_rng(config.seed, chunk_index)
-    status = rng.random((pools, law.size)) < config.p
+    # No pool stage: every pool goes on to individual reads, so the statuses are
+    # counted in one block, over the same trials as one block per pool.
+    blocks, size = (pools, law.size) if law.reads else (1, pools * law.size)
+    positives = _successes(rng, config.p, blocks, size)
+    declared, pool_tests = np.ones(blocks, dtype=bool), 0
     if law.reads:
-        read_positive = rng.random((pools, law.reads)) < law.read_prob[status.sum(axis=1), None]
+        read_positive = rng.random((pools, law.reads)) < law.read_prob[positives, None]
         # argmax finds the first positive read, or read 0 in a pool with none.
         first_positive = read_positive.argmax(axis=1)
         declared = read_positive[np.arange(pools), first_positive]
         # Early stop: reads after the first positive never happen, so a declared
         # positive pool used argmax+1 reads and a negative pool used all r.
         pool_tests = int(np.where(declared, first_positive + 1, law.reads).sum())
-        read_status = status[declared]
-    else:
-        # No pool stage: every pool goes on to individual reads.
-        read_status, pool_tests = status, 0
 
     kit = config.model.kit
     # One individual read per subject of a declared positive pool; a subject is
     # classified positive when its own read comes back positive.
-    individual_reads = rng.random(read_status.shape)
-    tp = int(np.count_nonzero(read_status & (individual_reads < kit.se_i)))
-    fp = int(np.count_nonzero(~read_status & (individual_reads < 1.0 - kit.sp)))
-    positives = int(np.count_nonzero(status))
-    return pool_tests, read_status.size, tp, fp, status.size - positives - fp, positives - tp
+    read, read_positives = size * int(np.count_nonzero(declared)), int(positives[declared].sum())
+    tp = int(_successes(rng, kit.se_i, 1, read_positives)[0])
+    fp = int(_successes(rng, 1.0 - kit.sp, 1, read - read_positives)[0])
+    positives = int(positives.sum())
+    return pool_tests, read, tp, fp, blocks * size - positives - fp, positives - tp
 
 
 def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):

@@ -1,7 +1,13 @@
 """Simulator determinism, conservation, and agreement with the closed forms."""
 
+import dataclasses
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -227,6 +233,88 @@ class TestAgreementWithClosedForms:
             ):
                 bound = 4 * math.sqrt(config.procedure.n * expected / config.subjects)
                 assert abs(observed - expected) <= bound, (config, result)
+
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_reference_engine_past_one_half_within_four_standard_errors(self, p):
+        """verify's three shapes where statuses and individual reads draw their
+        gaps over the misses.
+
+        As above, for FN and FP; a pool's tests are at most n + r, so the
+        tests rate has a standard error of at most sqrt((n + r) e / subjects).
+        """
+        configs = default_verification_configs(bateman_fit_model(), subjects=1_000_000)
+        for config in (dataclasses.replace(c, p=p) for c in configs if c.p == 0.1):
+            result = simulate(config, threads=2, per_subject=True)
+            analytic = evaluate(config.model, config.p, config.procedure)
+            n, r = config.procedure.n, config.procedure.r
+            for observed, expected, span in (
+                (result.fn_per_subject, analytic.e_fn, n),
+                (result.fp_per_subject, analytic.e_fp, n),
+                (result.tests_per_subject, analytic.e_tests, n + r),
+            ):
+                bound = 4 * math.sqrt(span * expected / config.subjects)
+                assert abs(observed - expected) <= bound, (config, result)
+
+
+class TestReferenceEngineDraws:
+    """The per-subject engine places each Bernoulli sequence's successes at
+    cumulative geometric gaps."""
+
+    @pytest.mark.parametrize("q, blocks, size", [(0.0, 5, 7), (1.0, 5, 7), (0.3, 1, 0), (0.9, 1, 0)])
+    def test_certain_or_empty_runs_draw_nothing(self, q, blocks, size):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        counts = simulate_module._successes(rng, q, blocks, size)
+        assert counts.tolist() == [int(q * size)] * blocks
+        assert rng.bit_generator.state == state
+
+    def test_extreme_prevalences_end_with_exact_counts(self):
+        """At p = 5e-324 rng.geometric gives 2**63 - 1, whose running sum
+        overflows int64 unless each gap is capped; the runs go to a child
+        process so that a sampler that never ends fails here by the timeout."""
+        script = (
+            "import json\n"
+            "from pooltest import Procedure, ProcedureConfig, SimConfig, bateman_fit_model, simulate\n"
+            "for p in (5e-324, 1e-300, 1 - 1e-16):\n"
+            "    for shape in (ProcedureConfig(Procedure.INDIVIDUAL), ProcedureConfig(Procedure.MODIFIED, n=10, r=3)):\n"
+            "        config = SimConfig(subjects=1_000_003, seed=6, procedure=shape, model=bateman_fit_model(), p=p)\n"
+            "        result = simulate(config, threads=2, per_subject=True)\n"
+            "        print(json.dumps([p, result.true_positives, result.false_positives,"
+            " result.true_negatives, result.false_negatives]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate_module.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        runs = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(runs) == 6
+        for p, tp, fp, tn, fn in runs:
+            if p < 0.5:
+                assert (tp, fn, tn + fp) == (0, 0, 1_000_003), p
+            else:
+                assert (fp, tn, tp + fn) == (0, 0, 1_000_003), p
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])
+    def test_perfect_specificity_gives_no_false_positive(self, p):
+        model = bateman_fit_model(TestKit(0.9, 1.0))
+        for kind in Procedure:
+            result = simulate(_config(kind=kind, r=1 if kind is Procedure.DORFMAN else 3, subjects=200_003, p=p, model=model), per_subject=True)
+            assert result.false_positives == 0, kind
+            assert result.true_positives > 0, kind
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])
+    def test_perfect_individual_sensitivity_reads_every_positive_it_is_given(self, p):
+        """With Se_I = 1, TP is every positive of a declared pool. Individual
+        testing declares every pool; a flat curve at Se = 1 declares every pool
+        that holds a positive. Neither may then miss a positive."""
+        model = DilutionModel(kit=TestKit(se_i=1.0, sp=0.75), alpha=0.0, beta=0.0)
+        assert (model.sensitivity(10, np.arange(1, 11)) == 1.0).all()
+        for kind in Procedure:
+            result = simulate(_config(kind=kind, r=1 if kind is Procedure.DORFMAN else 3, subjects=200_003, p=p, model=model), per_subject=True)
+            assert result.false_negatives == 0, kind
+            assert result.true_positives > 0 and result.false_positives > 0, kind
 
 
 class TestVerification:
