@@ -9,7 +9,9 @@ summaries from a sweep).
 Exit codes: 0 on success, 1 for usage and input errors, 2 when a numeric
 routine fails to converge. Every command that writes files also writes a
 <command>-run.txt reproducibility record next to them, with no timestamps,
-and removes partial outputs if it fails midway.
+and removes partial outputs if it fails midway. A command whose pool sizes
+include one where the dilution curve clamps Se(n, k) to 0 for every k
+prints one warning on stderr; no file holds it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .csvio import fmt, write_table
@@ -128,12 +132,30 @@ def _model_from_args(args: argparse.Namespace) -> DilutionModel:
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    return SweepSpec(
+    """The grid to sweep, after a warning if some of its pool sizes never detect."""
+    spec = SweepSpec(
         p_values=tuple(args.p) if args.p else DEFAULT_SWEEP_PREVALENCES,
         n_range=(args.n_min, args.n_max),
         r_range=(args.r_min, args.r_max),
         model=_model_from_args(args),
     )
+    _warn_if_blind(spec.model, range(spec.n_range[0], spec.n_range[1] + 1))
+    return spec
+
+
+def _warn_if_blind(model: DilutionModel, sizes) -> None:
+    """One stderr warning, kept out of every file, for the pool sizes at which
+    the curve clamps Se(n, k) to 0 for every k: such pools never test positive."""
+    blind = []
+    for n in sorted(set(sizes)):
+        k = np.arange(1, n + 1)
+        # A curve with no dilution term gives one Se for the whole row, not an array.
+        if not np.any(model.sensitivity(n, k)) and np.all(model.is_clamped(n, k)):
+            blind.append(n)
+    if blind:
+        where = f"n = {blind[0]}" if len(blind) == 1 else f"{len(blind)} pool sizes from n = {blind[0]} to {blind[-1]}"
+        print(f"pooltest: warning: the dilution curve clamps Se(n, k) to 0 for every k at {where}; "
+              "such pools never test positive", file=sys.stderr)
 
 
 def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
@@ -193,6 +215,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     config = ProcedureConfig(kind=Procedure(args.kind), n=args.n, r=args.r)
     pooled = config.kind is not Procedure.INDIVIDUAL
+    if pooled:
+        _warn_if_blind(model, [config.n])
     # One kernel call serves the metrics and both posteriors.
     outcomes = pool_outcomes(model, config.n, args.p, model.kit.sp, config.r) if pooled else None
     metrics = evaluate(model, args.p, config, outcomes)
@@ -214,6 +238,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         model=model,
         p=args.p,
     )
+    if config.procedure.kind is not Procedure.INDIVIDUAL:
+        # The pools of n, and the short final pool; a population under n is one short pool.
+        n = config.procedure.n
+        _warn_if_blind(model, {min(config.subjects, n), config.subjects % n} - {0})
     result = simulate(config, threads=args.threads)
     names = [field.name for field in fields(SimResult)] + ["tests_per_subject", "fn_per_subject", "fp_per_subject"]
     return _emit(args, [(name, getattr(result, name)) for name in names])
@@ -251,6 +279,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     configs = default_verification_configs(model, subjects=args.subjects, seed=args.seed)
+    _warn_if_blind(model, [c.procedure.n for c in configs if c.procedure.kind is not Procedure.INDIVIDUAL])
     rows = verify_against_analytic(configs, threads=args.threads)
     cells = [[row.kind.value, row.metric, row.mode, row.value, row.configs] for row in rows]
     print("\n".join(

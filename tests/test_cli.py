@@ -538,7 +538,48 @@ def _run(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "usage:" not in err.getvalue(), (argv, err.getvalue())
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestClampWarning:
+    """A pool size at which the curve clamps Se(n, k) to 0 for every k, n >= 789
+    under the Bateman preset, draws one warning on stderr and none in any file."""
+
+    WARNING = "pooltest: warning: the dilution curve clamps Se(n, k) to 0 for every k at {}; such pools never test positive\n"
+    GRID = ["--p", "0.01", "--n-min", "787", "--n-max", "790", "--r-min", "1", "--r-max", "1"]
+    CASES = {
+        "evaluate": (["evaluate", "--kind", "dorfman", "--n", "800", "--p", "0.01"], "n = 800"),
+        # Two full pools of 800 and a short one of 1, which detects.
+        "simulate": (
+            ["simulate", "--kind", "modified", "--n", "800", "--r", "2", "--p", "0.01", "--subjects", "1601"],
+            "n = 800",
+        ),
+        "sweep": (["sweep", *GRID], "2 pool sizes from n = 789 to 790"),
+        "tables": (["tables", *GRID], "2 pool sizes from n = 789 to 790"),
+        # A steep linear drift clamps verify's pools of 10, not its individual tests.
+        "verify": (["verify", "--subjects", "2000", "--beta", "-1"], "n = 10"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_warning_on_stderr_and_none_in_files(self, tmp_path, case):
+        argv, where = self.CASES[case]
+        code, out, err = _run([*argv, "--out", str(tmp_path / "out")])
+        assert (code, err) == (0, self.WARNING.format(where))
+        assert "clamps" not in out
+        assert all("clamps" not in path.read_text() for path in (tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--kind", "dorfman", "--n", "788", "--p", "0.01"],
+        # Only a short pool of 700 runs.
+        ["simulate", "--kind", "dorfman", "--n", "800", "--p", "0.01", "--subjects", "700"],
+        ["evaluate", "--kind", "individual", "--p", "0.01", "--beta", "-1"],
+    ])
+    def test_no_warning_where_every_pool_size_can_detect(self, argv):
+        assert _run(argv)[::2] == (0, "")
+
+    def test_persisted_sweep_is_not_checked_again(self, tmp_path):
+        assert _run(["sweep", *self.GRID, "--out", str(tmp_path)])[0] == 0
+        assert _run(["tables", "--sweep-csv", str(tmp_path / "sweep.csv"), "--out", str(tmp_path)])[::2] == (0, "")
 
 
 _DOMAIN = settings(
@@ -554,7 +595,7 @@ class TestMainOverTheDomain:
     @settings(_DOMAIN, max_examples=50)
     @given(_shape_flags(), _model_flags())
     def test_evaluate(self, shape, model):
-        code, out = _run(["evaluate", *shape, *model])
+        code, out, _ = _run(["evaluate", *shape, *model])
         if code == 0:
             for key, value in _parse_pairs(out).items():
                 assert math.isfinite(float(value)), (key, value)
@@ -572,11 +613,11 @@ class TestMainOverTheDomain:
     @settings(_DOMAIN, max_examples=10)
     @given(_grid_flags(), _model_flags())
     def test_sweep_and_tables(self, tmp_path, grid, model):
-        code, _ = _run(["sweep", *grid, *model, "--out", str(tmp_path / "sweep")])
+        code, _, _ = _run(["sweep", *grid, *model, "--out", str(tmp_path / "sweep")])
         if code == 0:
             # Every sweep.csv the sweep writes reads back.
             csv_path = str(tmp_path / "sweep" / "sweep.csv")
-            code, _ = _run(["tables", "--sweep-csv", csv_path, "--out", str(tmp_path / "csv")])
+            code, _, _ = _run(["tables", "--sweep-csv", csv_path, "--out", str(tmp_path / "csv")])
             assert code == 0
         _run(["tables", *grid, *model, "--out", str(tmp_path / "memory")])
 
@@ -585,7 +626,7 @@ class TestMainOverTheDomain:
     def test_fit(self, tmp_path, rows, se_i, sp, linear_term):
         data = tmp_path / "obs.csv"
         data.write_text("n,k,se\n" + "".join(f"{n},{k},{se!r}\n" for n, k, se in rows))
-        code, out = _run([
+        code, out, _ = _run([
             "fit", "--fit-data", str(data), "--se-i", repr(se_i), "--sp", repr(sp), "--linear-term", linear_term,
         ])
         if code == 0:
