@@ -269,6 +269,29 @@ class TestReferenceEngineDraws:
         assert counts.tolist() == [int(q * size)] * blocks
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("q", [1e-4, 0.3, 0.5, 0.7, 0.9999])
+    def test_blocks_follow_the_binomial_law(self, q):
+        """100,000 blocks of 10 trials: the mean count, and the shares of empty
+        and of full blocks, within 5 standard errors of Binomial(10, q)."""
+        blocks, size = 100_000, 10
+        counts = simulate_module._successes(np.random.default_rng(8), q, blocks, size)
+        assert counts.shape == (blocks,) and 0 <= counts.min() and counts.max() <= size
+        assert abs(counts.mean() - size * q) <= 5 * math.sqrt(size * q * (1 - q) / blocks)
+        for k, share in ((0, (1 - q) ** size), (size, q**size)):
+            assert abs(np.mean(counts == k) - share) <= 5 * math.sqrt(share * (1 - share) / blocks) + 1e-12, k
+
+    def test_a_gap_past_int64_after_a_success_is_capped(self):
+        """rng.geometric gives 2**63 - 1 at tiny q. Added to the position of an
+        earlier success, it would wrap the int64 running sum unless capped."""
+
+        class Gaps:
+            draws = [np.array([1]), np.array([2**63 - 1])]
+
+            def geometric(self, p, size):
+                return self.draws.pop(0)  # a third draw is an IndexError
+
+        assert simulate_module._successes(Gaps(), 1e-300, 4, 5).tolist() == [1, 0, 0, 0]
+
     def test_extreme_prevalences_end_with_exact_counts(self):
         """At p = 5e-324 rng.geometric gives 2**63 - 1, whose running sum
         overflows int64 unless each gap is capped; the runs go to a child
