@@ -205,8 +205,8 @@ def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: in
     read, read_positives = size * int(np.count_nonzero(declared)), int(positives[declared].sum())
     tp = int(_successes(rng, kit.se_i, 1, read_positives)[0])
     fp = int(_successes(rng, 1.0 - kit.sp, 1, read - read_positives)[0])
-    positives = int(positives.sum())
-    return pool_tests, read, tp, fp, blocks * size - positives - fp, positives - tp
+    total = int(positives.sum())
+    return pool_tests, read, tp, fp, blocks * size - total - fp, total - tp
 
 
 def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
