@@ -93,7 +93,8 @@ class DilutionModel:
         """The curve before clamping, for 1 <= k <= n; +-inf where a term overflows.
 
         An int k gives a float by scalar arithmetic (the C library's pow); an
-        integer array gives an array of its shape, where numpy's pow may be an ulp off.
+        integer array gives an array of its shape, where numpy's pow may be an
+        ulp off, or one float if se_i + sp = 1 under the pool-size linear term.
         """
         n = check_pool_size(n)
         k = np.asarray(k)
@@ -118,14 +119,14 @@ class DilutionModel:
         return raw if k.ndim else float(raw)
 
     def sensitivity(self, n: int, k):
-        """Se(n, k), clamped into [0, 1]; a float for an int k, an array for an array k."""
+        """Se(n, k), clamped into [0, 1]; a float for an int k, and as raw_sensitivity for an array k."""
         raw = self.raw_sensitivity(n, k)
         if isinstance(raw, float):
             return min(max(raw, 0.0), 1.0)
         return np.minimum(np.maximum(raw, 0.0, out=raw), 1.0, out=raw)
 
     def is_clamped(self, n: int, k):
-        """True where the raw curve leaves [0, 1] at (n, k) and clamping bites."""
+        """True where the raw curve leaves [0, 1] at (n, k) and clamping bites; a bool for a float curve."""
         raw = self.raw_sensitivity(n, k)
         return (raw < 0.0) | (raw > 1.0)
 

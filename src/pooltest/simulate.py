@@ -26,12 +26,13 @@ draw order, over the same chunks and streams.
   runs, draws subject statuses, then r pool reads per pool, all consumed
   whether or not early stopping needed them, then one individual read per
   subject of each pool declared positive, and applies early-stopped retests
-  logically on top. Statuses and individual reads are Bernoulli sequences,
-  one trial per subject, drawn as their successes' cumulative Geometric
-  gaps (over the misses when success is the likelier outcome): the same law
-  as one uniform per subject, at O(successes) draws. Its draws do not follow
-  the closed forms' binomial decomposition and use no pmf row or class law,
-  which is what makes verify an independent check.
+  logically on top. Statuses, the reads of the pools at each drawn positive
+  count k, and individual reads are Bernoulli sequences, drawn as their
+  successes' cumulative Geometric gaps (over the misses when success is the
+  likelier outcome): the same law as one uniform per trial, at O(successes)
+  draws. Its draws do not follow the closed forms' binomial decomposition
+  and use no pmf row or class law, which is what makes verify an
+  independent check.
 """
 
 from __future__ import annotations
@@ -168,18 +169,38 @@ def _pool_law(config: SimConfig, n: int) -> _PoolLaw:
     )
 
 
-def _successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> np.ndarray:
-    """Successes in each of `blocks` runs of `size` consecutive Bernoulli(q) trials,
-    placed at cumulative Geometric(q) gaps; for q > 1/2 the gaps run between misses."""
-    trials, rate = blocks * size, min(q, 1.0 - q)
+def _rarer(rng: np.random.Generator, q: float, trials: int) -> np.ndarray:
+    """Sorted indices of the rarer outcome in `trials` Bernoulli(q) trials: the
+    successes, or the misses for q > 1/2, placed at cumulative Geometric gaps."""
+    rate = min(q, 1.0 - q)
     positions, end = np.empty(0, np.int64), 0
     while rate > 0.0 and end < trials:
         # Capped gaps keep the sum in int64: at tiny q rng.geometric gives 2**63 - 1.
         gaps = rng.geometric(rate, int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1)
         positions = np.concatenate((positions, end + np.cumsum(np.minimum(gaps, trials + 1))))
         end = int(positions[-1])
-    counts = np.bincount((positions[: np.searchsorted(positions, trials, "right")] - 1) // size, minlength=blocks)
+    return positions[: np.searchsorted(positions, trials, "right")] - 1
+
+
+def _successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> np.ndarray:
+    """Successes in each of `blocks` runs of `size` consecutive Bernoulli(q) trials."""
+    counts = np.bincount(_rarer(rng, q, blocks * size) // size, minlength=blocks)
     return size - counts if q > 0.5 else counts
+
+
+def _first_successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> tuple[int, int]:
+    """Of `blocks` runs of `size` consecutive Bernoulli(q) trials, those with a
+    success, and the sum of their first success's index in the run."""
+    rarer = _rarer(rng, q, blocks * size)
+    offset = rarer % size
+    rank = np.arange(rarer.size) - np.searchsorted(rarer, rarer - offset)
+    if q > 0.5:
+        # Misses: a run's leading misses are those whose offset is their rank.
+        lead = offset == rank
+        missed = int(np.count_nonzero(lead & (offset == size - 1)))
+        return blocks - missed, int(np.count_nonzero(lead)) - size * missed
+    first = rank == 0
+    return int(np.count_nonzero(first)), int(offset[first].sum())
 
 
 def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
@@ -189,23 +210,24 @@ def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: in
     # counted in one block, over the same trials as one block per pool.
     blocks, size = (pools, law.size) if law.reads else (1, pools * law.size)
     positives = _successes(rng, config.p, blocks, size)
-    declared, pool_tests = np.ones(blocks, dtype=bool), 0
+    total = int(positives.sum())
+    pool_tests, declared, read_positives = (0, 0, 0) if law.reads else (0, blocks, total)
     if law.reads:
-        read_positive = rng.random((pools, law.reads)) < law.read_prob[positives, None]
-        # argmax finds the first positive read, or read 0 in a pool with none.
-        first_positive = read_positive.argmax(axis=1)
-        declared = read_positive[np.arange(pools), first_positive]
-        # Early stop: reads after the first positive never happen, so a declared
-        # positive pool used argmax+1 reads and a negative pool used all r.
-        pool_tests = int(np.where(declared, first_positive + 1, law.reads).sum())
+        # The pools at each drawn count k read as one Bernoulli(read_prob[k])
+        # sequence, r trials per pool. Early stop: a declared pool used its first
+        # positive read's index + 1 reads, any other all r.
+        by_count = np.bincount(positives, minlength=law.size + 1)
+        for k in np.flatnonzero(by_count):
+            hit, first = _first_successes(rng, law.read_prob[k], int(by_count[k]), law.reads)
+            pool_tests += first + hit + law.reads * (int(by_count[k]) - hit)
+            declared, read_positives = declared + hit, read_positives + int(k) * hit
 
     kit = config.model.kit
     # One individual read per subject of a declared positive pool; a subject is
     # classified positive when its own read comes back positive.
-    read, read_positives = size * int(np.count_nonzero(declared)), int(positives[declared].sum())
+    read = size * declared
     tp = int(_successes(rng, kit.se_i, 1, read_positives)[0])
     fp = int(_successes(rng, 1.0 - kit.sp, 1, read - read_positives)[0])
-    total = int(positives.sum())
     return pool_tests, read, tp, fp, blocks * size - total - fp, total - tp
 
 

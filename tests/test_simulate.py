@@ -280,17 +280,41 @@ class TestReferenceEngineDraws:
         for k, share in ((0, (1 - q) ** size), (size, q**size)):
             assert abs(np.mean(counts == k) - share) <= 5 * math.sqrt(share * (1 - share) / blocks) + 1e-12, k
 
+    @pytest.mark.parametrize("q, blocks, expected", [(0.0, 5, (0, 0)), (1.0, 5, (5, 0)), (0.3, 0, (0, 0)), (0.9, 0, (0, 0))])
+    def test_first_success_of_certain_or_empty_runs_draws_nothing(self, q, blocks, expected):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert simulate_module._first_successes(rng, q, blocks, 3) == expected
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("q", [1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 0.9999])
+    def test_first_successes_follow_the_truncated_geometric_law(self, q, size):
+        """100,000 blocks: the share with a success within 5 standard errors of
+        1 - (1 - q)**size, and the mean index of their first success within 5
+        standard errors of the geometric law's mean truncated at size."""
+        blocks = 100_000
+        hit, first = simulate_module._first_successes(np.random.default_rng(9), q, blocks, size)
+        share = 1 - (1 - q) ** size
+        assert abs(hit / blocks - share) <= 5 * math.sqrt(share * (1 - share) / blocks) + 1e-12
+        index = np.arange(size)
+        law = q * (1 - q) ** index / share
+        mean = index @ law
+        assert abs(first / hit - mean) <= 5 * math.sqrt((index**2 @ law - mean**2) / hit) + 1e-12
+
     def test_a_gap_past_int64_after_a_success_is_capped(self):
         """rng.geometric gives 2**63 - 1 at tiny q. Added to the position of an
         earlier success, it would wrap the int64 running sum unless capped."""
 
         class Gaps:
-            draws = [np.array([1]), np.array([2**63 - 1])]
+            def __init__(self):
+                self.draws = [np.array([1]), np.array([2**63 - 1])]
 
             def geometric(self, p, size):
                 return self.draws.pop(0)  # a third draw is an IndexError
 
         assert simulate_module._successes(Gaps(), 1e-300, 4, 5).tolist() == [1, 0, 0, 0]
+        assert simulate_module._first_successes(Gaps(), 1e-300, 4, 5) == (1, 0)
 
     def test_extreme_prevalences_end_with_exact_counts(self):
         """At p = 5e-324 rng.geometric gives 2**63 - 1, whose running sum
@@ -338,6 +362,33 @@ class TestReferenceEngineDraws:
             result = simulate(_config(kind=kind, r=1 if kind is Procedure.DORFMAN else 3, subjects=200_003, p=p, model=model), per_subject=True)
             assert result.false_negatives == 0, kind
             assert result.true_positives > 0 and result.false_positives > 0, kind
+
+
+    @pytest.mark.parametrize(
+        "model",
+        [bateman_fit_model(TestKit(0.99, 0.3)), DilutionModel(kit=TestKit(1.0, 1.0), alpha=0.0, beta=0.0)],
+        ids=["low-specificity", "certain-or-never"],
+    )
+    def test_pool_reads_on_either_gap_path_match_closed_forms(self, model):
+        """With Sp = 0.3 a pool without positives reads positive at 0.7, drawn
+        over the misses; with Se_I = Sp = 1 on a flat curve every read is
+        certain or never, and no gap is drawn. Within 4 standard errors as in
+        TestAgreementWithClosedForms, at 1 thread's counts on 3."""
+        for config in default_verification_configs(model, subjects=300_000):
+            if config.procedure.kind is Procedure.INDIVIDUAL or config.p == 0.001:
+                continue
+            with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", 1 << 15):
+                result = simulate(config, threads=1, per_subject=True)
+                assert simulate(config, threads=3, per_subject=True) == result, config
+            analytic = evaluate(config.model, config.p, config.procedure)
+            n, r = config.procedure.n, config.procedure.r
+            for observed, expected, span in (
+                (result.fn_per_subject, analytic.e_fn, n),
+                (result.fp_per_subject, analytic.e_fp, n),
+                (result.tests_per_subject, analytic.e_tests, n + r),
+            ):
+                bound = 4 * math.sqrt(span * expected / config.subjects)
+                assert abs(observed - expected) <= bound, (config, result)
 
 
 class TestVerification:
