@@ -39,6 +39,7 @@ from .pareto import (
     FN_INCREASE_CAPS,
     ParetoPoint,
     SweepSpec,
+    SweepTable,
     fp_summary,
     min_tests_under_fn_cap,
     read_sweep_csv,
@@ -73,6 +74,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SweepSpec",
+    "SweepTable",
     "TestKit",
     "VerificationRow",
     "bateman_fit_model",

@@ -249,11 +249,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    points = sweep(spec)
+    table = sweep(spec)
     with _Artifacts(args.out) as artifacts:
-        write_sweep_csv(points, artifacts.path("sweep.csv"))
+        write_sweep_csv(table, artifacts.path("sweep.csv"))
         _write_record(artifacts, args, _record_pairs(args, p_values=spec.p_values))
-    print(f"wrote {len(points)} points to {artifacts.out_dir / 'sweep.csv'}")
+    print(f"wrote {len(table)} points to {artifacts.out_dir / 'sweep.csv'}")
     return 0
 
 
@@ -294,13 +294,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    points = read_sweep_csv(args.sweep_csv) if args.sweep_csv else sweep(_spec_from_args(args))
+    table = read_sweep_csv(args.sweep_csv) if args.sweep_csv else sweep(_spec_from_args(args))
 
-    p_values = sorted({pt.p for pt in points})
+    p_values = sorted(set(table.p.tolist()))
     cap_rows, fp_rows = [], []
     for p in p_values:
-        at_p = [pt for pt in points if pt.p == p]
-        retested = [pt for pt in at_p if pt.kind is Procedure.MODIFIED]
+        at_p = table[table.p == p]
+        retested = at_p[at_p.kind == Procedure.MODIFIED.value]
         for cap in FN_INCREASE_CAPS:
             best = min_tests_under_fn_cap(retested, cap)
             cells = ["", "", ""] if best is None else [best.relative_tests, best.config.n, best.config.r]

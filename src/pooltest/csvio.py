@@ -4,30 +4,48 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
+
+
+_SIX_DIGITS = "%.6g"
+
+# Rows a columnar reader holds as text at once, so that its peak memory does
+# not grow with the file.
+CHUNK_ROWS = 256
 
 
 def fmt(value: float) -> str:
     """A float with 6 significant digits, as every file and result line holds it."""
-    return f"{value:.6g}"
+    return _SIX_DIGITS % value
+
+
+def fmt_column(values: list[float]) -> list[str]:
+    """fmt of every value, in one format call for the whole column."""
+    return ((_SIX_DIGITS + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def write_cells(path: str | Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of str cells, each line ended by CRLF as the csv
+    module ends it. No cell may hold a comma, a quote or a line break: none is quoted."""
+    with Path(path).open("w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows; float cells go through fmt, other cells through str."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([fmt(cell) if isinstance(cell, float) else cell for cell in row] for row in rows)
+    write_cells(path, header, ([fmt(cell) if isinstance(cell, float) else str(cell) for cell in row] for row in rows))
 
 
-def read_table(path: str | Path, header: list[str], parse: Callable[[list[str]], object]) -> list:
-    """parse(row) for each row under a header of exactly these names.
+def read_columns(path: str | Path, header: list[str]) -> Iterator[tuple[tuple[int, ...], list[tuple[str, ...]]]]:
+    """For each run of up to CHUNK_ROWS rows under a header of exactly these
+    names, the rows' line numbers and their cells column by column.
 
     Header cells are stripped and blank rows skipped. A missing or other
-    header, a row of another width, or a ValueError from parse raises
-    ValueError naming the path, and the line of a bad row.
+    header, or a row of another width, raises ValueError naming the path, and
+    the line of a bad row.
     """
-    items = []
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, None)
@@ -35,13 +53,10 @@ def read_table(path: str | Path, header: list[str], parse: Callable[[list[str]],
             raise ValueError(f"{path}: empty file, expected header {','.join(header)}")
         if [cell.strip() for cell in found] != header:
             raise ValueError(f"{path}: unexpected header {found!r}, expected {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                items.append(parse(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return items
+        rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if "".join(row).strip())
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            for lineno, row in chunk:
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            lines, cells = zip(*chunk)
+            yield lines, list(zip(*cells))

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import read_table
+from .csvio import read_columns
 from .kernels import check_pool_size, is_whole
 
 __all__ = [
@@ -244,11 +244,13 @@ def fit_dilution_model(
 
 def load_observations(path: str | Path) -> tuple[SensitivityObservation, ...]:
     """Read pool sensitivity observations from a CSV with header n,k,se."""
-    observations = read_table(
-        path,
-        ["n", "k", "se"],
-        lambda row: SensitivityObservation(n=int(row[0]), k=int(row[1]), se_observed=float(row[2])),
-    )
+    observations = []
+    for lines, columns in read_columns(path, ["n", "k", "se"]):
+        for line, n, k, se in zip(lines, *columns):
+            try:
+                observations.append(SensitivityObservation(n=int(n), k=int(k), se_observed=float(se)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
     if not observations:
         raise ValueError(f"{path}: no observation rows")
     return tuple(observations)

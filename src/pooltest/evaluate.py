@@ -58,6 +58,10 @@ class Procedure(str, Enum):
     DORFMAN = "dorfman"
     MODIFIED = "modified"
 
+    # The value, as format() gives it, so that numpy reads a member as its
+    # value: a SweepTable's kind column compares equal to it.
+    __str__ = str.__str__
+
 
 @dataclass(frozen=True)
 class ProcedureConfig:

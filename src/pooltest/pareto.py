@@ -2,36 +2,49 @@
 
 A sweep evaluates individual testing, classic two-stage pooling over a range
 of pool sizes, and the retested procedure over pool sizes crossed with
-retest budgets, for each requested prevalence. Points are compared on
-(expected tests, expected false negatives), both per subject and both
-minimized. Dominance is computed twice: within each procedure family (the
-`dominated` flag, the primary one) and jointly across the three families
-(`dominated_joint`), because the joint front collapses to the families'
-lower envelope and hides how each family trades off on its own.
+retest budgets, for each requested prevalence. Its result is one SweepTable,
+a numpy column per field: the kernel's metric arrays become its columns, the
+checks every point must pass run once per column, sweep.csv is written and
+read column by column, and the summaries are masked argmins over it.
+ParetoPoint is the view of one row, built on demand.
+
+Points are compared on (expected tests, expected false negatives), both per
+subject and both minimized. Dominance is computed twice: within each
+procedure family (the `dominated` flag, the primary one) and jointly across
+the three families (`dominated_joint`), because the joint front collapses to
+the families' lower envelope and hides how each family trades off on its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import read_table, write_table
+from .csvio import CHUNK_ROWS, fmt_column, read_columns, write_cells
 from .dilution import DilutionModel, bateman_fit_model
 from .evaluate import Metrics, Procedure, ProcedureConfig, eval_individual, pooled_metrics
 # Not called here, but bound under this module too: the benchmark's tracer
 # wraps these names where the sweep used to look them up.
 from .evaluate import eval_dorfman, eval_modified  # noqa: F401
-from .kernels import check_pool_size, check_prevalence, check_retest_count, pool_outcomes
+from .kernels import (
+    MAX_POOL_SIZE,
+    MAX_RETESTS,
+    check_pool_size,
+    check_prevalence,
+    check_retest_count,
+    pool_outcomes,
+)
 
 __all__ = [
     "DEFAULT_SWEEP_PREVALENCES",
     "FN_INCREASE_CAPS",
     "SweepSpec",
+    "SweepTable",
     "ParetoPoint",
     "sweep",
     "min_tests_under_fn_cap",
@@ -45,6 +58,9 @@ DEFAULT_SWEEP_PREVALENCES = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.
 
 # Allowed growth of E(FN) relative to individual testing: 100%, 10%, 1%.
 FN_INCREASE_CAPS = (1.0, 0.1, 0.01)
+
+_METRICS = tuple(f.name for f in fields(Metrics))
+_INDIVIDUAL, _DORFMAN, _MODIFIED = (kind.value for kind in Procedure)
 
 
 @dataclass(frozen=True)
@@ -74,7 +90,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ParetoPoint:
-    """One evaluated configuration with its standing relative to the others.
+    """One evaluated configuration with its standing relative to the others:
+    the view of one SweepTable row.
 
     relative_tests is E(T) over the individual-testing E(T) at the same
     prevalence; relative_fn_increase is E(FN) over the individual E(FN),
@@ -107,161 +124,254 @@ class ParetoPoint:
         return self.config.kind
 
 
-def _non_dominated_indices(objectives: Sequence[tuple[float, float]]) -> set[int]:
-    """Indices not dominated on two minimized objectives.
+class _RowError(ValueError):
+    """A table row that fails its checks, and which row it is."""
 
-    A point is dominated by another that is no worse in both coordinates and
-    strictly better in at least one; exact ties in both survive together.
-    One scan sorted by (first, second), grouped by the first: a group's
-    first entry holds its least second, and the entries at that value
-    survive when it is below the second of every point with a smaller first.
+    def __init__(self, at: int, message: str):
+        super().__init__(f"row {at}: {message}")
+        self.at, self.message = at, message
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Sweep points as numpy columns, one row per point.
+
+    kind holds Procedure values as strings, which compare equal to members.
+    The first eleven fields are sweep.csv's columns in its order; the stage
+    diagnostics come last and are None in a table read back from CSV, which
+    does not persist them. Every check a ParetoPoint, its ProcedureConfig and
+    its Metrics make runs once per column; the first failing row raises
+    ValueError with the message its row view gives. len, integer indexing and
+    iteration give ParetoPoint rows; a mask or slice gives a table.
     """
-    order = sorted(range(len(objectives)), key=objectives.__getitem__)
-    survivors = set()
-    best_fn_before = math.inf
-    for _, group in groupby(order, key=lambda i: objectives[i][0]):
-        group = list(group)
-        least_fn = objectives[group[0]][1]
-        if least_fn < best_fn_before:
-            survivors.update(i for i in group if objectives[i][1] == least_fn)
-            best_fn_before = least_fn
-    return survivors
+
+    p: np.ndarray
+    kind: np.ndarray
+    n: np.ndarray
+    r: np.ndarray
+    e_tests: np.ndarray
+    e_fn: np.ndarray
+    e_fp: np.ndarray
+    relative_tests: np.ndarray
+    relative_fn_increase: np.ndarray
+    dominated: np.ndarray
+    dominated_joint: np.ndarray
+    e_tests_individual_stage: np.ndarray | None = None
+    e_fn_pool_stage: np.ndarray | None = None
+    e_fn_individual_stage: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name, column in self._columns().items():
+            if column is not None:
+                array = np.asarray(column, dtype=_DTYPES.get(name, float))
+                if name in ("n", "r") and not np.array_equal(array, column):
+                    raise ValueError(f"{name} must hold integers, got {column!r}")
+                object.__setattr__(self, name, array)
+        shapes = {column.shape for column in self._columns().values() if column is not None}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("table columns must be one-dimensional and of one length")
+        self._check_rows()
+
+    def _columns(self) -> dict[str, np.ndarray | None]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def _check_rows(self) -> None:
+        kind, n, r = self.kind, self.n, self.r
+        # Comparisons of nan and inf flag rows; the arithmetic on them must not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad = (kind != _INDIVIDUAL) & (kind != _DORFMAN) & (kind != _MODIFIED)
+            bad |= (n < 1) | (n > MAX_POOL_SIZE) | (r < 1) | (r > MAX_RETESTS)
+            bad |= np.where(kind == _INDIVIDUAL, (n != 1) | (r != 1), (n < 2) | ((kind == _DORFMAN) & (r != 1)))
+            for name in _METRICS:
+                column = getattr(self, name)
+                if column is not None:
+                    bad |= ~(np.isfinite(column) & (column >= 0.0))
+            if self.e_tests_individual_stage is not None:
+                bad |= self.e_tests_individual_stage > self.e_tests + 1e-12
+            if self.e_fn_pool_stage is not None and self.e_fn_individual_stage is not None:
+                bad |= np.abs(self.e_fn_pool_stage + self.e_fn_individual_stage - self.e_fn) > 1e-12
+            bad |= ~((self.p > 0.0) & (self.p < 1.0))
+            bad |= ~(np.isfinite(self.relative_tests) & (self.relative_tests >= 0.0))
+            bad |= ~(self.relative_fn_increase >= -1.0)
+        if bad.any():
+            at = int(bad.argmax())
+            try:
+                self[at]
+            except ValueError as exc:
+                raise _RowError(at, str(exc)) from None
+            raise _RowError(at, "fails a column check that its row view passes")
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, at):
+        if not isinstance(at, (int, np.integer)):
+            # Rows of a checked table pass the checks: the subset skips them.
+            subset = object.__new__(SweepTable)
+            for name, column in self._columns().items():
+                object.__setattr__(subset, name, None if column is None else column[at])
+            return subset
+        metrics = (getattr(self, name) for name in _METRICS)
+        return ParetoPoint(
+            p=self.p[at].item(),
+            config=ProcedureConfig(str(self.kind[at]), int(self.n[at]), int(self.r[at])),
+            metrics=Metrics(*(None if column is None else column[at].item() for column in metrics)),
+            relative_tests=self.relative_tests[at].item(),
+            relative_fn_increase=self.relative_fn_increase[at].item(),
+            dominated=self.dominated[at],
+            dominated_joint=self.dominated_joint[at],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return all(np.array_equal(mine, theirs) for mine, theirs in zip(self._columns().values(), other._columns().values()))
 
 
-def sweep(spec: SweepSpec) -> tuple[ParetoPoint, ...]:
-    """Evaluate the full grid, flag dominance, and return points in stable order.
+_DTYPES = {"kind": str, "n": np.int64, "r": np.int64, "dominated": bool, "dominated_joint": bool}
 
-    Order is by prevalence, then individual / dorfman / modified, then n,
-    then r, so repeated runs and persisted CSVs line up row for row.
+# The table's first eleven fields, in their order.
+SWEEP_CSV_COLUMNS = [f.name for f in fields(SweepTable)][:11]
+
+
+def _dominated(group: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Whether each point is dominated within its group on two minimized objectives.
+
+    A point is dominated by another of its group that is no worse in both
+    coordinates and strictly better in at least one; exact ties in both
+    survive together. One lexsort by (group, first, second) puts each group's
+    points in runs of equal first; a run's first entry holds its least
+    second, and the entries at that value survive when it is below the second
+    of every point of the group with a smaller first. That least second so far
+    is one minimum.accumulate over the seconds' dense ranks (equal values, 0.0
+    and -0.0 among them, share a rank), each group shifted below the groups
+    before it so that the running minimum starts afresh at every group.
+    """
+    size = len(group)
+    order = np.lexsort((second, first, group))
+    rank = np.unique(second, return_inverse=True)[1].reshape(-1)[order]
+    ordered_group, ordered_first = group[order], first[order]
+    new_group = np.ones(size, dtype=bool)
+    new_group[1:] = ordered_group[1:] != ordered_group[:-1]
+    new_run = new_group.copy()
+    new_run[1:] |= ordered_first[1:] != ordered_first[:-1]
+    shift = np.cumsum(new_group) * (size + 1)
+    least = np.minimum.accumulate(rank - shift) + shift
+    run = np.maximum.accumulate(np.where(new_run, np.arange(size), 0))
+    # A group's first run has no point before it.
+    before = np.where(new_group[run], size, least[run - 1])
+    dominated = np.empty(size, dtype=bool)
+    dominated[order] = (rank != rank[run]) | (rank[run] >= before)
+    return dominated
+
+
+def sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the full grid, flag dominance, and return the points as one table.
+
+    Rows are ordered by prevalence, then individual / dorfman / modified, then
+    n, then r, so repeated runs and persisted CSVs line up row for row.
     """
     n_lo, n_hi = spec.n_range
     r_lo, r_hi = spec.r_range
     model = spec.model
-    sizes = range(n_lo, n_hi + 1)
-    configs = [ProcedureConfig(Procedure.INDIVIDUAL)]
-    configs += [ProcedureConfig(Procedure.DORFMAN, n=n) for n in sizes]
-    configs += [ProcedureConfig(Procedure.MODIFIED, n=n, r=r) for n in sizes for r in range(r_lo, r_hi + 1)]
+    sizes = np.arange(n_lo, n_hi + 1)
+    budgets = np.arange(r_lo, r_hi + 1)
     # One kernel pass serves every prevalence, pool size and read budget, and
     # the metric arrays come in one pass over it; entry r = 1 is dorfman.
-    outcomes = pool_outcomes(model, tuple(sizes), spec.p_values, model.kit.sp, r_hi)
-    columns = pooled_metrics(model.kit, outcomes)
-    points: list[ParetoPoint] = []
-    for at, p in enumerate(spec.p_values):
-        baseline = eval_individual(model.kit, p)
-        # Per metric: dorfman over n, then modified over n and, within n, r.
-        pooled = (
-            np.concatenate((values[at, :, 1], values[at, :, r_lo:].ravel())).tolist() for values in columns
-        )
-        records = list(zip(configs, [baseline, *(Metrics(*row) for row in zip(*pooled))]))
+    outcomes = pool_outcomes(model, tuple(sizes.tolist()), spec.p_values, model.kit.sp, r_hi)
+    order = np.argsort(spec.p_values)
+    p = np.array(spec.p_values)[order]
+    baselines = [eval_individual(model.kit, value) for value in p.tolist()]
 
-        objectives = [(m.e_tests, m.e_fn) for _, m in records]
-        joint_front = _non_dominated_indices(objectives)
-        family_front: set[int] = set()
-        for kind in Procedure:
-            idx = [i for i, (cfg, _) in enumerate(records) if cfg.kind is kind]
-            kept = _non_dominated_indices([objectives[i] for i in idx])
-            family_front.update(idx[i] for i in kept)
-
-        for i, (config, metrics) in enumerate(records):
-            if baseline.e_fn > 0.0:
-                rel_fn = metrics.e_fn / baseline.e_fn - 1.0
-            else:
-                rel_fn = 0.0 if metrics.e_fn == 0.0 else math.inf
-            points.append(
-                ParetoPoint(
-                    p=p,
-                    config=config,
-                    metrics=metrics,
-                    relative_tests=metrics.e_tests / baseline.e_tests,
-                    relative_fn_increase=rel_fn,
-                    dominated=i not in family_front,
-                    dominated_joint=i not in joint_front,
-                )
-            )
-    # Each prevalence's points are built in kind, n, r order; the sort is stable.
-    points.sort(key=lambda pt: pt.p)
-    return tuple(points)
+    # Per prevalence, a block of rows: the individual point, dorfman over n,
+    # then modified over n and, within n, r.
+    family_sizes = np.array([1, len(sizes), len(sizes) * len(budgets)])
+    block = int(family_sizes.sum())
+    columns = {}
+    for name, values in zip(_METRICS, pooled_metrics(model.kit, outcomes)):
+        values = values[order]
+        base = [[getattr(m, name)] for m in baselines]
+        columns[name] = np.concatenate((base, values[:, :, 1], values[:, :, r_lo:].reshape(len(p), -1)), axis=1).ravel()
+    e_tests, e_fn = columns["e_tests"], columns["e_fn"]
+    base_tests = np.repeat([m.e_tests for m in baselines], block)
+    base_fn = np.repeat([m.e_fn for m in baselines], block)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_fn = np.where(base_fn > 0.0, e_fn / base_fn - 1.0, np.where(e_fn == 0.0, 0.0, math.inf))
+    families = np.repeat(np.arange(3 * len(p)), np.tile(family_sizes, len(p)))
+    return SweepTable(
+        p=np.repeat(p, block),
+        kind=np.tile(np.repeat((_INDIVIDUAL, _DORFMAN, _MODIFIED), family_sizes), len(p)),
+        n=np.tile(np.concatenate(([1], sizes, np.repeat(sizes, len(budgets)))), len(p)),
+        r=np.tile(np.concatenate(([1], np.ones_like(sizes), np.tile(budgets, len(sizes)))), len(p)),
+        relative_tests=e_tests / base_tests,
+        relative_fn_increase=rel_fn,
+        dominated=_dominated(families, e_tests, e_fn),
+        dominated_joint=_dominated(families // 3, e_tests, e_fn),
+        **columns,
+    )
 
 
-def min_tests_under_fn_cap(
-    points: Iterable[ParetoPoint], cap: float
-) -> ParetoPoint | None:
+def min_tests_under_fn_cap(table: SweepTable, cap: float) -> ParetoPoint | None:
     """Cheapest point whose FN increase stays within cap, or None.
 
     Feasible means relative_fn_increase <= cap and strictly fewer expected
     tests than individual testing. Ties on cost break toward smaller r, then
-    smaller n (fewer reads of the same pool beats a wider pool).
+    smaller n (fewer reads of the same pool beats a wider pool), then the
+    earlier row.
     """
     cap = float(cap)
     if not math.isfinite(cap) or cap < 0.0:
         raise ValueError(f"cap must be finite and nonnegative, got {cap!r}")
-    feasible = (pt for pt in points if pt.relative_fn_increase <= cap and pt.relative_tests < 1.0)
-    return min(feasible, key=lambda pt: (pt.relative_tests, pt.config.r, pt.config.n), default=None)
+    feasible = np.flatnonzero((table.relative_fn_increase <= cap) & (table.relative_tests < 1.0))
+    if not feasible.size:
+        return None
+    best = np.lexsort((table.n[feasible], table.r[feasible], table.relative_tests[feasible]))[0]
+    return table[int(feasible[best])]
 
 
-def fp_summary(points: Iterable[ParetoPoint]) -> dict[Procedure, float]:
+def fp_summary(table: SweepTable) -> dict[Procedure, float]:
     """Per-family false-positive rate at the cheapest non-dominated point.
 
     For each procedure family present, takes the family's non-dominated
     points and reports e_fp at the one with minimal e_tests (the
-    cost-optimal end of that family's front). A single-point family reports
-    that point's e_fp; for individual testing this is its closed-form rate.
-    Families with no non-dominated points are simply absent from the dict.
+    cost-optimal end of that family's front), ties broken by e_fp, r, n and
+    row. A single-point family reports that point's e_fp; for individual
+    testing this is its closed-form rate. Families with no non-dominated
+    points are simply absent from the dict.
     """
-    points = list(points)
-    if len({pt.p for pt in points}) > 1:
+    if len(table) and (table.p != table.p[0]).any():
         raise ValueError("cannot summarize points with mixed prevalences")
     summary: dict[Procedure, float] = {}
     for kind in Procedure:
-        family = [pt for pt in points if pt.kind is kind and not pt.dominated]
-        if not family:
-            continue
-        cheapest = min(
-            family,
-            key=lambda pt: (
-                pt.metrics.e_tests,
-                pt.metrics.e_fp,
-                pt.config.r,
-                pt.config.n,
-            ),
-        )
-        summary[kind] = cheapest.metrics.e_fp
+        family = np.flatnonzero((table.kind == kind.value) & ~table.dominated)
+        if family.size:
+            keys = (table.n, table.r, table.e_fp, table.e_tests)
+            cheapest = family[np.lexsort([key[family] for key in keys])[0]]
+            summary[kind] = table.e_fp[cheapest].item()
     return summary
 
 
-SWEEP_CSV_COLUMNS = [
-    "p",
-    "kind",
-    "n",
-    "r",
-    "e_tests",
-    "e_fn",
-    "e_fp",
-    "relative_tests",
-    "relative_fn_increase",
-    "dominated",
-    "dominated_joint",
-]
-
-
-def write_sweep_csv(points: Iterable[ParetoPoint], path: str | Path) -> None:
-    """Persist sweep points; p keeps every digit, the other floats carry 6
-    significant digits.
+def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
+    """Persist a sweep table column by column; p keeps every digit, the other
+    floats carry 6 significant digits.
 
     p is written by repr, which matches fmt wherever p has at most 6
     significant digits; with every digit kept, two prevalences that agree to
     6 digits keep apart, and p near 1 does not round to 1.
     """
-    rows = (
-        [
-            repr(pt.p), pt.kind.value, pt.config.n, pt.config.r,
-            pt.metrics.e_tests, pt.metrics.e_fn, pt.metrics.e_fp,
-            pt.relative_tests, pt.relative_fn_increase,
-            int(pt.dominated), int(pt.dominated_joint),
-        ]
-        for pt in points
-    )
-    write_table(path, SWEEP_CSV_COLUMNS, rows)
+    parts = (table[at : at + CHUNK_ROWS] for at in range(0, len(table), CHUNK_ROWS))
+    write_cells(path, SWEEP_CSV_COLUMNS, chain.from_iterable(map(_csv_cells, parts)))
+
+
+def _csv_cells(part: SweepTable):
+    """The rows of part as sweep.csv holds them, formatted a column at a time."""
+    cells = [map(repr, part.p.tolist()), part.kind.tolist(), map(str, part.n.tolist()), map(str, part.r.tolist())]
+    cells += [fmt_column(getattr(part, name).tolist()) for name in SWEEP_CSV_COLUMNS[4:9]]
+    cells += [np.where(getattr(part, name), "1", "0").tolist() for name in SWEEP_CSV_COLUMNS[9:]]
+    return zip(*cells)
 
 
 def _flag(name: str, cell: str) -> bool:
@@ -271,36 +381,64 @@ def _flag(name: str, cell: str) -> bool:
     return cell == "1"
 
 
-def _point_from_row(row: list[str]) -> ParetoPoint:
-    config = ProcedureConfig(kind=Procedure(row[1]), n=int(row[2]), r=int(row[3]))
-    metrics = Metrics(e_tests=float(row[4]), e_fn=float(row[5]), e_fp=float(row[6]))
-    return ParetoPoint(
-        p=float(row[0]),
-        config=config,
-        metrics=metrics,
-        relative_tests=float(row[7]),
-        relative_fn_increase=float(row[8]),
-        dominated=_flag("dominated", row[9]),
-        dominated_joint=_flag("dominated_joint", row[10]),
-    )
+# How each CSV column's cells parse; kind stays text for the table's checks,
+# and n and r are range-checked as they parse, so no cell overflows int64.
+_PARSERS = {
+    "kind": str,
+    "n": lambda cell: check_pool_size(int(cell)),
+    "r": lambda cell: check_retest_count(int(cell)),
+    **{name: partial(_flag, name) for name in ("dominated", "dominated_joint")},
+}
 
 
-def read_sweep_csv(path: str | Path) -> tuple[ParetoPoint, ...]:
-    """Load points written by write_sweep_csv.
+def _parse(cells: tuple[str, ...], convert) -> tuple[list, tuple[int, str] | None]:
+    """convert over cells up to the first it rejects, and that cell's index
+    and message, or None when it rejects none."""
+    values: list = []
+    try:
+        values.extend(map(convert, cells))
+    except ValueError as exc:
+        return values, (len(values), str(exc))
+    return values, None
 
-    Stage diagnostics are not persisted, so reloaded Metrics carry only the
-    headline values; dominance flags come back as written, not recomputed.
-    A repeated (p, kind, n, r) row, or a prevalence with no individual row
-    to be relative to, raises ValueError naming the file.
+
+def read_sweep_csv(path: str | Path) -> SweepTable:
+    """Load a table written by write_sweep_csv, parsing it column by column.
+
+    The table carries no stage diagnostics, which are not persisted;
+    dominance flags come back as written, not recomputed. A cell that does not
+    parse, or a row that fails the table's checks, raises ValueError naming
+    the path and the line of the first such row (within a row, a cell that
+    does not parse first). So does a repeated (p, kind, n, r) row, or a
+    prevalence with no individual row to be relative to, naming the file.
     """
-    points = tuple(read_table(path, SWEEP_CSV_COLUMNS, _point_from_row))
-    keys: set[tuple] = set()
-    for key in ((pt.p, pt.config.kind, pt.config.n, pt.config.r) for pt in points):
-        if key in keys:
-            p, kind, n, r = key
-            raise ValueError(f"{path}: repeated row for p={p!r}, kind={kind.value}, n={n}, r={r}")
-        keys.add(key)
-    missing = {key[0] for key in keys} - {key[0] for key in keys if key[1] is Procedure.INDIVIDUAL}
+    lines: list[int] = []
+    message = None
+    chunks: dict[str, list[np.ndarray]] = {name: [] for name in SWEEP_CSV_COLUMNS}
+    for chunk_lines, cells in read_columns(path, SWEEP_CSV_COLUMNS):
+        parsed = {name: _parse(column, _PARSERS.get(name, float)) for name, column in zip(SWEEP_CSV_COLUMNS, cells)}
+        faults = [fault for _, fault in parsed.values() if fault is not None]
+        limit, message = min(faults, key=lambda fault: fault[0], default=(len(chunk_lines), None))
+        for name, (values, _) in parsed.items():
+            chunks[name].append(np.asarray(values[:limit], dtype=_DTYPES.get(name, float)))
+        lines += chunk_lines[:limit]
+        if message is not None:
+            message = f"{path}:{chunk_lines[limit]}: {message}"
+            break
+    # The rows above the first cell that does not parse may still fail a check first.
+    try:
+        table = SweepTable(**{name: np.concatenate(parts) if parts else [] for name, parts in chunks.items()})
+    except _RowError as exc:
+        raise ValueError(f"{path}:{lines[exc.at]}: {exc.message}") from None
+    if message is not None:
+        raise ValueError(message)
+
+    keys = list(zip(table.p.tolist(), table.kind.tolist(), table.n.tolist(), table.r.tolist()))
+    if len(set(keys)) < len(keys):
+        seen: set[tuple] = set()
+        repeat = next(key for key in keys if key in seen or seen.add(key))
+        raise ValueError("{}: repeated row for p={!r}, kind={}, n={}, r={}".format(path, *repeat))
+    missing = set(table.p.tolist()) - set(table.p[table.kind == _INDIVIDUAL].tolist())
     if missing:
         raise ValueError(f"{path}: no individual row for prevalence {min(missing)!r}")
-    return points
+    return table

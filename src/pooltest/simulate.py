@@ -192,8 +192,14 @@ def _first_successes(rng: np.random.Generator, q: float, blocks: int, size: int)
     """Of `blocks` runs of `size` consecutive Bernoulli(q) trials, those with a
     success, and the sum of their first success's index in the run."""
     rarer = _rarer(rng, q, blocks * size)
-    offset = rarer % size
-    rank = np.arange(rarer.size) - np.searchsorted(rarer, rarer - offset)
+    block = rarer // size
+    offset = rarer - block * size
+    # Rank within the block, in one pass: the index less that of the block's
+    # first entry, carried forward from the entries where the block changes.
+    at = np.arange(rarer.size)
+    start = np.ones(rarer.size, dtype=bool)
+    start[1:] = block[1:] != block[:-1]
+    rank = at - np.maximum.accumulate(at * start)
     if q > 0.5:
         # Misses: a run's leading misses are those whose offset is their rank.
         lead = offset == rank

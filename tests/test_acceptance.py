@@ -90,8 +90,12 @@ def full_sweep():
     return sweep(SweepSpec())
 
 
-def _modified_points(points, p):
-    return [pt for pt in points if pt.p == p and pt.kind is Procedure.MODIFIED]
+def _family(table, p, kind):
+    return table[(table.p == p) & (table.kind == kind.value)]
+
+
+def _modified_points(table, p):
+    return _family(table, p, Procedure.MODIFIED)
 
 
 class TestCriterion1CostByCapTable:
@@ -136,7 +140,7 @@ class TestCriterion2FalsePositiveTable:
         with _report(2, "false-positive table"):
             kit = bateman_fit_model().kit
             for p, (ref_ind, ref_dorf, ref_mod) in REFERENCE_FP_RATES.items():
-                summary = fp_summary([pt for pt in full_sweep if pt.p == p])
+                summary = fp_summary(full_sweep[full_sweep.p == p])
                 np.testing.assert_allclose(
                     summary[Procedure.INDIVIDUAL], (1.0 - p) * (1.0 - kit.sp), rtol=1e-12
                 )
@@ -148,10 +152,8 @@ class TestCriterion2FalsePositiveTable:
 class TestCriterion3DorfmanContrast:
     def test_quarter_cost_dorfman_misses_several_times_more(self, full_sweep):
         with _report(3, "dorfman contrast"):
-            family = [
-                pt for pt in full_sweep if pt.p == 0.001 and pt.kind is Procedure.DORFMAN
-            ]
-            point = min(family, key=lambda pt: abs(pt.relative_tests - 0.264))
+            family = _family(full_sweep, 0.001, Procedure.DORFMAN)
+            point = family[int(np.argmin(np.abs(family.relative_tests - 0.264)))]
             assert abs(point.relative_tests - 0.264) <= 0.005, point
             assert 6.75 * 0.85 <= point.relative_fn_increase <= 6.75 * 1.15, point
 
@@ -164,13 +166,11 @@ class TestCriterion3DorfmanContrast:
         +779.0% (README states the gap).
         """
         family = _modified_points(full_sweep, 0.001)
-        dorfman = [pt for pt in full_sweep if pt.p == 0.001 and pt.kind is Procedure.DORFMAN]
+        dorfman = _family(full_sweep, 0.001, Procedure.DORFMAN)
         for cap, n, increase in ((0.01, 5, 6.545), (0.1, 7, 7.790)):
             cell = min_tests_under_fn_cap(family, cap)
-            match = max(
-                (pt for pt in dorfman if pt.relative_tests <= cell.relative_tests),
-                key=lambda pt: pt.relative_tests,
-            )
+            cheaper = dorfman[dorfman.relative_tests <= cell.relative_tests]
+            match = cheaper[int(np.argmax(cheaper.relative_tests))]
             assert match.config.n == n, (cap, match)
             assert abs(match.relative_fn_increase - increase) <= 5e-4, (cap, match)
 

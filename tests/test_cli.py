@@ -188,7 +188,7 @@ class TestSweepCommand:
         capsys.readouterr()
         assert "p_values = 0.01,0.02\n" in (tmp_path / "a" / "sweep-run.txt").read_text()
         assert "p_values = 0.05\n" in (tmp_path / "b" / "sweep-run.txt").read_text()
-        assert {pt.p for pt in read_sweep_csv(tmp_path / "b" / "sweep.csv")} == {0.05}
+        assert set(read_sweep_csv(tmp_path / "b" / "sweep.csv").p.tolist()) == {0.05}
 
 
 class TestFitCommand:
@@ -301,7 +301,7 @@ class TestTablesCommand:
         """Rounded to 6 digits, p = 0.9999999 read 1, which read_sweep_csv rejects."""
         via_csv, _ = self._tables_via_csv(capsys, tmp_path, ["0.9999999"])
         assert "wrote tables for 1 prevalences" in via_csv
-        assert read_sweep_csv(tmp_path / "sweep" / "sweep.csv")[0].p == 0.9999999
+        assert read_sweep_csv(tmp_path / "sweep" / "sweep.csv").p[0] == 0.9999999
 
     def test_csv_keeps_prevalences_that_agree_to_six_digits_apart(self, capsys, tmp_path):
         via_csv, in_memory = self._tables_via_csv(capsys, tmp_path, ["0.0010000001", "0.001"])
@@ -332,7 +332,7 @@ class TestTablesCommand:
         assert not (tmp_path / "tables").exists()
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
-        def boom(points):
+        def boom(table):
             raise ValueError("synthetic failure")
 
         monkeypatch.setattr(cli, "fp_summary", boom)

@@ -1,10 +1,13 @@
 """Sweep construction, dominance filtering, summaries, and CSV persistence."""
 
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pooltest import (
     Metrics,
@@ -12,6 +15,7 @@ from pooltest import (
     Procedure,
     ProcedureConfig,
     SweepSpec,
+    SweepTable,
     eval_individual,
     evaluate,
     bateman_fit_model,
@@ -21,7 +25,8 @@ from pooltest import (
     sweep,
     write_sweep_csv,
 )
-from pooltest.pareto import SWEEP_CSV_COLUMNS, _non_dominated_indices
+from pooltest.csvio import fmt, fmt_column
+from pooltest.pareto import SWEEP_CSV_COLUMNS, _dominated
 
 from _oracles import brute_force_front
 
@@ -43,6 +48,22 @@ def _point(p, e_tests, e_fn, kind=Procedure.MODIFIED, n=5, r=2, e_fp=0.001,
         dominated=dominated,
         dominated_joint=dominated_joint,
     )
+
+
+def _table(*points):
+    """A SweepTable of these rows, without stage diagnostics."""
+    rows = [
+        (pt.p, pt.kind.value, pt.config.n, pt.config.r, pt.metrics.e_tests, pt.metrics.e_fn, pt.metrics.e_fp,
+         pt.relative_tests, pt.relative_fn_increase, pt.dominated, pt.dominated_joint)
+        for pt in points
+    ]
+    return SweepTable(*(zip(*rows) if rows else [()] * len(SWEEP_CSV_COLUMNS)))
+
+
+def _front(objectives):
+    """Indices _dominated keeps when every point is in one group."""
+    first, second = np.array(objectives, dtype=float).reshape(-1, 2).T
+    return set(np.flatnonzero(~_dominated(np.zeros(len(first), dtype=int), first, second)).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -92,27 +113,39 @@ class TestSweep:
     def test_point_count_and_order(self, small_sweep):
         # 1 individual + 11 dorfman + 11*3 modified
         assert len(small_sweep) == 1 + 11 + 33
-        keys = [
-            (pt.p, {"individual": 0, "dorfman": 1, "modified": 2}[pt.kind.value],
-             pt.config.n, pt.config.r)
-            for pt in small_sweep
-        ]
+        rank = {"individual": 0, "dorfman": 1, "modified": 2}
+        keys = list(zip(
+            small_sweep.p.tolist(), [rank[kind] for kind in small_sweep.kind.tolist()],
+            small_sweep.n.tolist(), small_sweep.r.tolist(),
+        ))
         assert keys == sorted(keys)
 
     def test_individual_baseline_point(self, small_sweep):
-        baseline = [pt for pt in small_sweep if pt.kind is Procedure.INDIVIDUAL]
+        baseline = small_sweep[small_sweep.kind == Procedure.INDIVIDUAL.value]
         assert len(baseline) == 1
-        assert baseline[0].relative_tests == 1.0
-        assert baseline[0].relative_fn_increase == 0.0
-        assert not baseline[0].dominated
+        assert baseline.relative_tests[0] == 1.0
+        assert baseline.relative_fn_increase[0] == 0.0
+        assert not baseline.dominated[0]
 
     def test_relative_columns_consistent(self, small_sweep):
         base = eval_individual(bateman_fit_model().kit, 0.01)
-        for pt in small_sweep:
-            np.testing.assert_allclose(pt.relative_tests, pt.metrics.e_tests / base.e_tests, rtol=1e-15)
-            np.testing.assert_allclose(
-                pt.relative_fn_increase, pt.metrics.e_fn / base.e_fn - 1.0, rtol=1e-12
+        np.testing.assert_allclose(small_sweep.relative_tests, small_sweep.e_tests / base.e_tests, rtol=1e-15)
+        np.testing.assert_allclose(
+            small_sweep.relative_fn_increase, small_sweep.e_fn / base.e_fn - 1.0, rtol=1e-12
+        )
+
+    def test_rows_are_points(self, small_sweep):
+        """Iteration and integer indexing give each row as a ParetoPoint."""
+        rows = list(small_sweep)
+        assert len(rows) == len(small_sweep) and rows[-1] == small_sweep[-1]
+        assert np.array_equal(small_sweep.kind == Procedure.MODIFIED, [pt.kind is Procedure.MODIFIED for pt in rows])
+        for at, pt in enumerate(rows):
+            assert isinstance(pt, ParetoPoint)
+            assert (pt.p, pt.kind.value, pt.config.n, pt.config.r) == (
+                small_sweep.p[at], small_sweep.kind[at], small_sweep.n[at], small_sweep.r[at]
             )
+            assert pt.metrics.e_fn_pool_stage == small_sweep.e_fn_pool_stage[at]
+            assert (pt.dominated, pt.dominated_joint) == (small_sweep.dominated[at], small_sweep.dominated_joint[at])
 
     def test_deterministic(self, small_sweep):
         again = sweep(SweepSpec(p_values=(0.01,), n_range=(2, 12), r_range=(2, 4)))
@@ -120,16 +153,16 @@ class TestSweep:
 
     def test_family_flags_match_brute_force(self, small_sweep):
         for kind in Procedure:
-            family = [pt for pt in small_sweep if pt.kind is kind]
-            objectives = [(pt.metrics.e_tests, pt.metrics.e_fn) for pt in family]
+            family = small_sweep[small_sweep.kind == kind.value]
+            objectives = list(zip(family.e_tests.tolist(), family.e_fn.tolist()))
             expected = brute_force_front(objectives)
-            got = {i for i, pt in enumerate(family) if not pt.dominated}
+            got = set(np.flatnonzero(~family.dominated).tolist())
             assert got == expected
 
     def test_joint_flags_match_brute_force(self, small_sweep):
-        objectives = [(pt.metrics.e_tests, pt.metrics.e_fn) for pt in small_sweep]
+        objectives = list(zip(small_sweep.e_tests.tolist(), small_sweep.e_fn.tolist()))
         expected = brute_force_front(objectives)
-        got = {i for i, pt in enumerate(small_sweep) if not pt.dominated_joint}
+        got = set(np.flatnonzero(~small_sweep.dominated_joint).tolist())
         assert got == expected
 
     def test_default_grid_matches_point_by_point_evaluation(self):
@@ -140,24 +173,24 @@ class TestSweep:
         points = sweep(SweepSpec())
         assert len(points) == 2214
         for p in SweepSpec().p_values:
-            at_p = [pt for pt in points if pt.p == p]
-            single = [evaluate(model, p, pt.config) for pt in at_p]
-            for pt, metrics in zip(at_p, single):
-                for name in (
-                    "e_tests", "e_fn", "e_fp",
-                    "e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage",
-                ):
-                    np.testing.assert_allclose(
-                        getattr(pt.metrics, name), getattr(metrics, name),
-                        rtol=1e-12, atol=1e-15, err_msg=f"{name} at {p}, {pt.config}",
-                    )
+            at_p = points[points.p == p]
+            configs = [ProcedureConfig(*row) for row in zip(at_p.kind.tolist(), at_p.n.tolist(), at_p.r.tolist())]
+            single = [evaluate(model, p, config) for config in configs]
+            for name in (
+                "e_tests", "e_fn", "e_fp",
+                "e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage",
+            ):
+                np.testing.assert_allclose(
+                    getattr(at_p, name), [getattr(metrics, name) for metrics in single],
+                    rtol=1e-12, atol=1e-15, err_msg=f"{name} at {p}",
+                )
             objectives = [(m.e_tests, m.e_fn) for m in single]
-            joint = {i for i, pt in enumerate(at_p) if not pt.dominated_joint}
+            joint = set(np.flatnonzero(~at_p.dominated_joint).tolist())
             assert joint == brute_force_front(objectives)
             for kind in Procedure:
-                idx = [i for i, pt in enumerate(at_p) if pt.kind is kind]
+                idx = np.flatnonzero(at_p.kind == kind.value).tolist()
                 front = brute_force_front([objectives[i] for i in idx])
-                assert {idx[j] for j in front} == {i for i in idx if not at_p[i].dominated}
+                assert {idx[j] for j in front} == {i for i in idx if not at_p.dominated[i]}
 
     def test_memory_stays_near_the_tensor_cap_at_the_largest_pools(self):
         """At n = 10,000 and r = 100 one size's miss tensor and its complement
@@ -180,10 +213,26 @@ class TestSweep:
     def test_joint_front_prefers_retesting_on_misses(self, small_sweep):
         """Any single-read pooled point is matched or beaten on false
         negatives by some multi-read point of the same pool size."""
-        modified = [pt for pt in small_sweep if pt.kind is Procedure.MODIFIED]
-        for dorf in (pt for pt in small_sweep if pt.kind is Procedure.DORFMAN):
-            same_n = [pt for pt in modified if pt.config.n == dorf.config.n]
-            assert min(pt.metrics.e_fn for pt in same_n) <= dorf.metrics.e_fn
+        modified = small_sweep[small_sweep.kind == Procedure.MODIFIED.value]
+        dorfman = small_sweep[small_sweep.kind == Procedure.DORFMAN.value]
+        for n, e_fn in zip(dorfman.n.tolist(), dorfman.e_fn.tolist()):
+            assert modified.e_fn[modified.n == n].min() <= e_fn
+
+
+# Objectives at the edges of the float order, and anywhere between.
+_OBJECTIVES = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0]) | st.floats(
+    -10.0, 10.0, allow_subnormal=True
+)
+
+
+@st.composite
+def _grouped_clouds(draw):
+    """Groups of (first, second) objectives, each of any size from 0 up, whose
+    first objectives often repeat; and an order to interleave the groups in."""
+    firsts = draw(st.lists(_OBJECTIVES, min_size=1, max_size=3))
+    point = st.tuples(st.sampled_from(firsts) | _OBJECTIVES, _OBJECTIVES)
+    groups = draw(st.lists(st.lists(point, max_size=10), max_size=5))
+    return groups, draw(st.permutations(range(sum(map(len, groups)))))
 
 
 class TestParetoFilter:
@@ -194,44 +243,59 @@ class TestParetoFilter:
             # integer grid forces plenty of exact ties
             values = rng.integers(0, 8, size=(count, 2)).astype(float)
             objectives = [(1.0 + t, f) for t, f in values]
-            assert _non_dominated_indices(objectives) == brute_force_front(objectives)
+            assert _front(objectives) == brute_force_front(objectives)
 
     def test_ties_on_both_objectives_survive_together(self):
-        assert _non_dominated_indices([(1.5, 0.2), (1.5, 0.2), (1.5, 0.3)]) == {0, 1}
+        assert _front([(1.5, 0.2), (1.5, 0.2), (1.5, 0.3)]) == {0, 1}
 
     def test_front_trades_tests_for_misses(self, small_sweep):
         """Sorted by cost, distinct front points must strictly improve on
         false negatives."""
-        objectives = [
-            (pt.metrics.e_tests, pt.metrics.e_fn)
-            for pt in small_sweep
-            if pt.kind is Procedure.MODIFIED
-        ]
-        front = sorted(objectives[i] for i in _non_dominated_indices(objectives))
+        modified = small_sweep[small_sweep.kind == Procedure.MODIFIED.value]
+        objectives = list(zip(modified.e_tests.tolist(), modified.e_fn.tolist()))
+        front = sorted(objectives[i] for i in _front(objectives))
         assert len(front) > 1
         for (cheaper_tests, cheaper_fn), (tests, fn) in zip(front, front[1:]):
             if tests > cheaper_tests:
                 assert fn < cheaper_fn
 
     def test_empty_input(self):
-        assert _non_dominated_indices([]) == set()
+        assert _front([]) == set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_grouped_clouds())
+    @example(([[], [(0.0, 1.0)], [(-0.0, 0.0), (0.0, -0.0), (0.0, 5e-324)], []], []))
+    @example(([[(5e-324, 0.0), (0.0, 5e-324), (-0.0, 5e-324), (0.0, 0.0)]], []))
+    def test_groups_match_brute_force_at_the_edges(self, clouds):
+        """Each group's survivors are its brute-force front, over groups of
+        every size from 0 up, interleaved in any order, on objectives with
+        signed zeros, subnormals and runs of equal first objectives."""
+        groups, shuffle = clouds
+        group = np.repeat(np.arange(len(groups)), [len(points) for points in groups])
+        first, second = np.array([pt for points in groups for pt in points], dtype=float).reshape(-1, 2).T
+        order = np.array(shuffle or range(len(group)), dtype=int)
+        dominated = np.empty(len(group), dtype=bool)
+        dominated[order] = _dominated(group[order], first[order], second[order])
+        for at, points in enumerate(groups):
+            kept = ~dominated[group == at]
+            assert set(np.flatnonzero(kept).tolist()) == brute_force_front(points), points
 
 
 class TestMinTestsUnderCap:
     def test_needs_strict_saving(self):
         expensive = _point(0.01, 1.2, 0.0, rel_fn=0.0)
-        assert min_tests_under_fn_cap([expensive], cap=1.0) is None
+        assert min_tests_under_fn_cap(_table(expensive), cap=1.0) is None
 
     def test_cap_excludes_leaky_points(self):
         cheap_leaky = _point(0.01, 0.3, 0.0, rel_fn=0.5)
         costly_tight = _point(0.01, 0.6, 0.0, rel_fn=0.005)
-        points = [cheap_leaky, costly_tight]
-        assert min_tests_under_fn_cap(points, cap=1.0) is cheap_leaky
-        assert min_tests_under_fn_cap(points, cap=0.01) is costly_tight
+        points = _table(cheap_leaky, costly_tight)
+        assert min_tests_under_fn_cap(points, cap=1.0) == cheap_leaky
+        assert min_tests_under_fn_cap(points, cap=0.01) == costly_tight
         assert min_tests_under_fn_cap(points, cap=0.001) is None
 
     def test_monotone_in_cap(self, small_sweep):
-        modified = [pt for pt in small_sweep if pt.kind is Procedure.MODIFIED]
+        modified = small_sweep[small_sweep.kind == Procedure.MODIFIED.value]
         previous = None
         for cap in (0.001, 0.01, 0.1, 1.0, 10.0):
             best = min_tests_under_fn_cap(modified, cap)
@@ -246,12 +310,12 @@ class TestMinTestsUnderCap:
         a = _point(0.01, 0.5, 0.0, rel_fn=0.0, n=8, r=3)
         b = _point(0.01, 0.5, 0.0, rel_fn=0.0, n=12, r=2)
         c = _point(0.01, 0.5, 0.0, rel_fn=0.0, n=9, r=2)
-        best = min_tests_under_fn_cap([a, b, c], cap=1.0)
-        assert best is c
+        best = min_tests_under_fn_cap(_table(a, b, c), cap=1.0)
+        assert best == c
 
     def test_cap_validation(self):
         with pytest.raises(ValueError, match="cap"):
-            min_tests_under_fn_cap([], cap=-0.5)
+            min_tests_under_fn_cap(_table(), cap=-0.5)
 
 
 class TestFpSummary:
@@ -267,36 +331,36 @@ class TestFpSummary:
             dominated=False,
             dominated_joint=False,
         )
-        summary = fp_summary([point])
+        summary = fp_summary(_table(point))
         np.testing.assert_allclose(summary[Procedure.INDIVIDUAL], 0.00999, rtol=1e-12)
 
     def test_single_point_family_front(self):
         lone = _point(0.01, 0.4, 0.001, e_fp=0.0042)
-        assert fp_summary([lone])[Procedure.MODIFIED] == 0.0042
+        assert fp_summary(_table(lone))[Procedure.MODIFIED] == 0.0042
 
     def test_takes_cheapest_front_point(self):
         cheap = _point(0.01, 0.3, 0.010, e_fp=0.002)
         costly = _point(0.01, 0.6, 0.001, e_fp=0.009, n=7)
-        summary = fp_summary([cheap, costly])
+        summary = fp_summary(_table(cheap, costly))
         assert summary[Procedure.MODIFIED] == 0.002
 
     def test_ignores_dominated_points(self):
         worse = _point(0.01, 0.2, 0.5, e_fp=0.001, dominated=True)
         kept = _point(0.01, 0.3, 0.010, e_fp=0.002)
-        summary = fp_summary([worse, kept])
+        summary = fp_summary(_table(worse, kept))
         assert summary[Procedure.MODIFIED] == 0.002
 
     def test_absent_families_are_absent(self, small_sweep):
-        dorfman_only = [pt for pt in small_sweep if pt.kind is Procedure.DORFMAN]
+        dorfman_only = small_sweep[small_sweep.kind == Procedure.DORFMAN.value]
         summary = fp_summary(dorfman_only)
         assert set(summary) == {Procedure.DORFMAN}
 
     def test_empty(self):
-        assert fp_summary([]) == {}
+        assert fp_summary(_table()) == {}
 
     def test_rejects_mixed_prevalences(self):
         with pytest.raises(ValueError, match="mixed prevalences"):
-            fp_summary([_point(0.01, 1.0, 0.1), _point(0.02, 1.0, 0.1)])
+            fp_summary(_table(_point(0.01, 1.0, 0.1), _point(0.02, 1.0, 0.1)))
 
 
 class TestSweepCsv:
@@ -305,13 +369,11 @@ class TestSweepCsv:
         write_sweep_csv(small_sweep, path)
         loaded = read_sweep_csv(path)
         assert len(loaded) == len(small_sweep)
-        for original, back in zip(small_sweep, loaded):
-            assert back.config == original.config
-            assert back.p == original.p
-            assert back.dominated == original.dominated
-            assert back.dominated_joint == original.dominated_joint
-            np.testing.assert_allclose(back.metrics.e_tests, original.metrics.e_tests, rtol=1e-5)
-            np.testing.assert_allclose(back.relative_fn_increase, original.relative_fn_increase, rtol=1e-5)
+        for name in ("kind", "n", "r", "p", "dominated", "dominated_joint"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(small_sweep, name), err_msg=name)
+        np.testing.assert_allclose(loaded.e_tests, small_sweep.e_tests, rtol=1e-5)
+        np.testing.assert_allclose(loaded.relative_fn_increase, small_sweep.relative_fn_increase, rtol=1e-5)
+        assert loaded.e_fn_pool_stage is None
 
     def test_rewrite_is_idempotent(self, small_sweep, tmp_path):
         """Six significant digits round-trip to the same bytes."""
@@ -347,6 +409,16 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match=re.escape(f"sweep.csv:3: {name} must be 0 or 1, got {cell!r}")):
             read_sweep_csv(path)
 
+    def test_whole_column_format_is_fmt(self):
+        values = [0.0, -0.0, 5e-324, 1e-5, 9.999995e-5, 0.1, 1 / 3, 123456.5, 1e16, -2.5, math.inf, -math.inf, math.nan]
+        assert fmt_column(values) == [fmt(value) for value in values]
+        assert fmt_column([]) == []
+
+    def test_header_alone_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(",".join(SWEEP_CSV_COLUMNS) + "\n")
+        assert len(read_sweep_csv(path)) == 0
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -358,8 +430,8 @@ class TestSweepCsv:
         write_sweep_csv(small_sweep, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([*lines, lines[3]]) + "\n")
-        config = small_sweep[2].config
-        repeated = f"{path}: repeated row for p=0.01, kind={config.kind.value}, n={config.n}, r={config.r}"
+        kind, n, r = small_sweep.kind[2], small_sweep.n[2], small_sweep.r[2]
+        repeated = f"{path}: repeated row for p=0.01, kind={kind}, n={n}, r={r}"
         with pytest.raises(ValueError, match=re.escape(repeated)):
             read_sweep_csv(path)
 
@@ -371,3 +443,44 @@ class TestSweepCsv:
         path.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: no individual row for prevalence 0.01")):
             read_sweep_csv(path)
+
+
+@pytest.fixture(scope="module")
+def four_prevalences_csv(tmp_path_factory):
+    """sweep.csv of a real sweep, 180 rows: the fourth prevalence's
+    individual row is line 137, its dorfman rows lines 138-148 and its
+    modified rows lines 149-181."""
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    write_sweep_csv(sweep(SweepSpec(p_values=(0.005, 0.01, 0.02, 0.05), n_range=(2, 12), r_range=(2, 4))), path)
+    return path.read_text().splitlines()
+
+
+class TestReaderChecksEveryRow:
+    """Each check a row must pass, failed by one cell of a row past line 100."""
+
+    @pytest.mark.parametrize("line, column, cell, message", [
+        (160, "p", "1", "prevalence must lie strictly between 0 and 1"),
+        (160, "p", "nan", "prevalence must lie strictly between 0 and 1"),
+        (160, "kind", "pooled", "'pooled' is not a valid Procedure"),
+        (160, "n", "2.5", "invalid literal for int"),
+        (160, "n", "10001", "pool size must lie in"),
+        (160, "n", "1" + "0" * 30, "pool size must lie in"),
+        (160, "r", "101", "retest count must lie in"),
+        (137, "n", "2", "individual testing requires n = r = 1"),
+        (140, "r", "2", "dorfman tests each pool once"),
+        (160, "n", "1", "modified procedure requires pool size n >= 2"),
+        *((160, name, cell, f"{name} must be finite and nonnegative")
+          for name in ("e_tests", "e_fn", "e_fp", "relative_tests") for cell in ("-0.5", "inf")),
+        (160, "relative_fn_increase", "-1.5", "relative_fn_increase must be >= -1"),
+        (160, "relative_fn_increase", "nan", "relative_fn_increase must be >= -1"),
+    ])
+    def test_first_failing_row_is_named(self, four_prevalences_csv, tmp_path, line, column, cell, message):
+        lines = list(four_prevalences_csv)
+        cells = lines[line - 1].split(",")
+        cells[SWEEP_CSV_COLUMNS.index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as raised:
+            read_sweep_csv(path)
+        assert str(raised.value).startswith(f"{path}:{line}: {message}"), str(raised.value)
