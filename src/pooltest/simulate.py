@@ -29,14 +29,15 @@ draw order, over the same chunks and streams.
   logically on top. Statuses, the reads of the pools at each drawn positive
   count k, and individual reads are Bernoulli sequences, drawn as their
   successes' cumulative Geometric gaps (over the misses when success is the
-  likelier outcome): the same law as one uniform per trial, at O(successes)
-  draws. Its draws do not follow the closed forms' binomial decomposition
-  and use no pmf row or class law, which is what makes verify an
-  independent check.
+  likelier outcome), each ceil(E / -log1p(-q)) for E ~ Exponential(1): one
+  uniform per trial's law at O(successes) draws, and rng.geometric's draws
+  for q < 1/3 (its law, not its stream, in [1/3, 1/2]). Using no pmf row or
+  class law, they make verify a check independent of the closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -170,59 +171,68 @@ def _pool_law(config: SimConfig, n: int) -> _PoolLaw:
 
 
 def _rarer(rng: np.random.Generator, q: float, trials: int) -> np.ndarray:
-    """Sorted indices of the rarer outcome in `trials` Bernoulli(q) trials: the
-    successes, or the misses for q > 1/2, placed at cumulative Geometric gaps."""
+    """Sorted positions 1..trials (float64) of the rarer outcome in `trials` Bernoulli(q)
+    trials, the successes or for q > 1/2 the misses, at ceil(Exponential / -log1p(-rate))
+    gaps: rng.geometric's draws for rate < 1/3, its law but not its stream in [1/3, 1/2]."""
     rate = min(q, 1.0 - q)
-    positions, end = np.empty(0, np.int64), 0
+    # libm's log1p, as numpy's geometric sampler uses. Capped at trials + 1 (the
+    # divide is inf at rate = 5e-324), every gap and sum is a whole number held exactly.
+    scale, walk, end = -math.log1p(-rate), [np.empty(0)], 0.0
     while rate > 0.0 and end < trials:
-        # Capped gaps keep the sum in int64: at tiny q rng.geometric gives 2**63 - 1.
-        gaps = rng.geometric(rate, int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1)
-        positions = np.concatenate((positions, end + np.cumsum(np.minimum(gaps, trials + 1))))
-        end = int(positions[-1])
-    return positions[: np.searchsorted(positions, trials, "right")] - 1
+        gaps = rng.standard_exponential(int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1)
+        with np.errstate(over="ignore"):
+            np.minimum(np.ceil(np.divide(gaps, scale, out=gaps), out=gaps), trials + 1, out=gaps)
+        gaps[0] += end
+        walk.append(np.cumsum(gaps, out=gaps))
+        end = gaps[-1]
+    positions = walk[1] if len(walk) == 2 else np.concatenate(walk)
+    return positions[: np.searchsorted(positions, trials, "right")]
 
 
-def _successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> np.ndarray:
-    """Successes in each of `blocks` runs of `size` consecutive Bernoulli(q) trials."""
-    counts = np.bincount(_rarer(rng, q, blocks * size) // size, minlength=blocks)
-    return size - counts if q > 0.5 else counts
+def _count(rng: np.random.Generator, q: float, trials: int) -> int:
+    """Successes in `trials` Bernoulli(q) trials: the walk's length, or the rest."""
+    rarer = _rarer(rng, q, trials).size
+    return trials - rarer if q > 0.5 else rarer
+
+
+def _class_counts(rng: np.random.Generator, q: float, blocks: int, size: int) -> np.ndarray:
+    """Entry k: how many of `blocks` runs of `size` consecutive Bernoulli(q)
+    trials hold k successes, from the lengths of the walk's stretches per run."""
+    ids = _rarer(rng, q, blocks * size)
+    np.ceil(np.divide(ids, size, out=ids), out=ids)  # each position's run, exact below 2**53
+    edge = np.ones(ids.size + 1, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=edge[1:-1])
+    counts = np.bincount(np.diff(np.flatnonzero(edge)), minlength=size + 1)
+    counts[0] = blocks - counts.sum()
+    return counts[::-1] if q > 0.5 else counts
 
 
 def _first_successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> tuple[int, int]:
     """Of `blocks` runs of `size` consecutive Bernoulli(q) trials, those with a
     success, and the sum of their first success's index in the run."""
-    rarer = _rarer(rng, q, blocks * size)
-    block = rarer // size
-    offset = rarer - block * size
-    # Rank within the block, in one pass: the index less that of the block's
-    # first entry, carried forward from the entries where the block changes.
-    at = np.arange(rarer.size)
-    start = np.ones(rarer.size, dtype=bool)
-    start[1:] = block[1:] != block[:-1]
-    rank = at - np.maximum.accumulate(at * start)
-    if q > 0.5:
-        # Misses: a run's leading misses are those whose offset is their rank.
-        lead = offset == rank
-        missed = int(np.count_nonzero(lead & (offset == size - 1)))
-        return blocks - missed, int(np.count_nonzero(lead)) - size * missed
-    first = rank == 0
-    return int(np.count_nonzero(first)), int(offset[first].sum())
+    block, offset = np.divmod(_rarer(rng, q, blocks * size).astype(np.int64) - 1, size)
+    start = np.diff(block, prepend=-1) != 0
+    if q <= 0.5:
+        return int(np.count_nonzero(start)), int(offset[start].sum())
+    # Misses: a run's leading misses have offset == rank, the index less the run's first index.
+    at = np.arange(block.size)
+    lead = offset == at - np.maximum.accumulate(at * start)
+    missed = int(np.count_nonzero(lead & (offset == size - 1)))
+    return blocks - missed, int(np.count_nonzero(lead)) - size * missed
 
 
 def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
     """Per-subject reference: every status and read of `pools` pools, one chunk, one stream."""
     rng = _chunk_rng(config.seed, chunk_index)
-    # No pool stage: every pool goes on to individual reads, so the statuses are
-    # counted in one block, over the same trials as one block per pool.
-    blocks, size = (pools, law.size) if law.reads else (1, pools * law.size)
-    positives = _successes(rng, config.p, blocks, size)
-    total = int(positives.sum())
-    pool_tests, declared, read_positives = (0, 0, 0) if law.reads else (0, blocks, total)
+    # No pool stage: every pool goes on to individual reads.
+    total = 0 if law.reads else _count(rng, config.p, pools * law.size)
+    pool_tests, declared, read_positives = (0, 0, 0) if law.reads else (0, pools, total)
     if law.reads:
+        by_count = _class_counts(rng, config.p, pools, law.size)
+        total = int(np.arange(law.size + 1) @ by_count)
         # The pools at each drawn count k read as one Bernoulli(read_prob[k])
         # sequence, r trials per pool. Early stop: a declared pool used its first
         # positive read's index + 1 reads, any other all r.
-        by_count = np.bincount(positives, minlength=law.size + 1)
         for k in np.flatnonzero(by_count):
             hit, first = _first_successes(rng, law.read_prob[k], int(by_count[k]), law.reads)
             pool_tests += first + hit + law.reads * (int(by_count[k]) - hit)
@@ -231,10 +241,10 @@ def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: in
     kit = config.model.kit
     # One individual read per subject of a declared positive pool; a subject is
     # classified positive when its own read comes back positive.
-    read = size * declared
-    tp = int(_successes(rng, kit.se_i, 1, read_positives)[0])
-    fp = int(_successes(rng, 1.0 - kit.sp, 1, read - read_positives)[0])
-    return pool_tests, read, tp, fp, blocks * size - total - fp, total - tp
+    read = law.size * declared
+    tp = _count(rng, kit.se_i, read_positives)
+    fp = _count(rng, 1.0 - kit.sp, read - read_positives)
+    return pool_tests, read, tp, fp, pools * law.size - total - fp, total - tp
 
 
 def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):

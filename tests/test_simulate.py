@@ -259,26 +259,41 @@ class TestAgreementWithClosedForms:
 
 class TestReferenceEngineDraws:
     """The per-subject engine places each Bernoulli sequence's successes at
-    cumulative geometric gaps."""
+    cumulative geometric gaps, each drawn as a ceiled exponential."""
 
     @pytest.mark.parametrize("q, blocks, size", [(0.0, 5, 7), (1.0, 5, 7), (0.3, 1, 0), (0.9, 1, 0)])
     def test_certain_or_empty_runs_draw_nothing(self, q, blocks, size):
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        counts = simulate_module._successes(rng, q, blocks, size)
-        assert counts.tolist() == [int(q * size)] * blocks
+        counts = simulate_module._class_counts(rng, q, blocks, size)
+        assert counts.tolist() == np.bincount([int(q * size)] * blocks, minlength=size + 1).tolist()
+        assert simulate_module._count(rng, q, blocks * size) == int(q * size) * blocks
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("q", [1e-4, 0.3, 0.5, 0.7, 0.9999])
+    @pytest.mark.parametrize("q", [1e-4, 0.3, 0.34, 0.45, 0.5, 0.55, 0.66, 0.7, 0.9999])
     def test_blocks_follow_the_binomial_law(self, q):
         """100,000 blocks of 10 trials: the mean count, and the shares of empty
         and of full blocks, within 5 standard errors of Binomial(10, q)."""
         blocks, size = 100_000, 10
-        counts = simulate_module._successes(np.random.default_rng(8), q, blocks, size)
-        assert counts.shape == (blocks,) and 0 <= counts.min() and counts.max() <= size
-        assert abs(counts.mean() - size * q) <= 5 * math.sqrt(size * q * (1 - q) / blocks)
+        counts = simulate_module._class_counts(np.random.default_rng(8), q, blocks, size)
+        assert counts.shape == (size + 1,) and counts.min() >= 0 and counts.sum() == blocks
+        assert abs(np.arange(size + 1) @ counts / blocks - size * q) <= 5 * math.sqrt(size * q * (1 - q) / blocks)
         for k, share in ((0, (1 - q) ** size), (size, q**size)):
-            assert abs(np.mean(counts == k) - share) <= 5 * math.sqrt(share * (1 - share) / blocks) + 1e-12, k
+            assert abs(counts[k] / blocks - share) <= 5 * math.sqrt(share * (1 - share) / blocks) + 1e-12, k
+
+    @pytest.mark.parametrize("q", [1e-4, 0.1, 0.3, 0.7, 0.9999])
+    def test_walk_is_numpys_geometric_inversion_below_one_third(self, q):
+        """Where the rarer outcome's rate is below 1/3, the walk's positions are
+        those of cumulative rng.geometric gaps on the same stream, bit for bit."""
+        trials, rate = 100_000, min(q, 1 - q)
+        rng, walk, end = np.random.default_rng(12), [], 0
+        while end < trials:
+            gaps = rng.geometric(rate, int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1)
+            walk.append(end + np.cumsum(np.minimum(gaps, trials + 1)))
+            end = walk[-1][-1]
+        positions = np.concatenate(walk)
+        expected = positions[positions <= trials]
+        assert simulate_module._rarer(np.random.default_rng(12), q, trials).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("q, blocks, expected", [(0.0, 5, (0, 0)), (1.0, 5, (5, 0)), (0.3, 0, (0, 0)), (0.9, 0, (0, 0))])
     def test_first_success_of_certain_or_empty_runs_draws_nothing(self, q, blocks, expected):
@@ -288,7 +303,7 @@ class TestReferenceEngineDraws:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("size", [1, 3])
-    @pytest.mark.parametrize("q", [1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 0.9999])
+    @pytest.mark.parametrize("q", [1e-4, 0.01, 0.3, 0.34, 0.45, 0.5, 0.55, 0.66, 0.7, 0.99, 0.9999])
     def test_first_successes_follow_the_truncated_geometric_law(self, q, size):
         """100,000 blocks: the share with a success within 5 standard errors of
         1 - (1 - q)**size, and the mean index of their first success within 5
@@ -303,17 +318,22 @@ class TestReferenceEngineDraws:
         assert abs(first / hit - mean) <= 5 * math.sqrt((index**2 @ law - mean**2) / hit) + 1e-12
 
     def test_a_gap_past_int64_after_a_success_is_capped(self):
-        """rng.geometric gives 2**63 - 1 at tiny q. Added to the position of an
-        earlier success, it would wrap the int64 running sum unless capped."""
+        """At tiny q a large exponential draw divides to a gap past int64, inf at
+        the extreme. After the success at 1 of 20 trials it is capped at 21, so
+        the walk ends on whole numbers with no third draw."""
 
         class Gaps:
             def __init__(self):
-                self.draws = [np.array([1]), np.array([2**63 - 1])]
+                self.draws, self.given = [np.array([1e-300]), np.array([1e300])], []
 
-            def geometric(self, p, size):
-                return self.draws.pop(0)  # a third draw is an IndexError
+            def standard_exponential(self, size):
+                self.given.append(self.draws.pop(0))  # a third draw is an IndexError
+                return self.given[-1]
 
-        assert simulate_module._successes(Gaps(), 1e-300, 4, 5).tolist() == [1, 0, 0, 0]
+        gaps = Gaps()
+        assert simulate_module._class_counts(gaps, 1e-300, 4, 5).tolist() == [3, 1, 0, 0, 0, 0]
+        # The walk divides, caps and sums each draw in place.
+        assert [draw.tolist() for draw in gaps.given] == [[1.0], [22.0]]
         assert simulate_module._first_successes(Gaps(), 1e-300, 4, 5) == (1, 0)
 
     def test_extreme_prevalences_end_with_exact_counts(self):
