@@ -33,11 +33,9 @@ from .evaluate import (
     posterior_given_negative_pool,
     posterior_given_positive_pool,
 )
-from .kernels import pool_test_outcome_probs
 from .pareto import (
     DEFAULT_SWEEP_PREVALENCES,
     FN_INCREASE_CAPS,
-    ParetoPoint,
     SweepSpec,
     SweepTable,
     fp_summary,
@@ -67,7 +65,6 @@ __all__ = [
     "FitConvergenceError",
     "FitResult",
     "Metrics",
-    "ParetoPoint",
     "Procedure",
     "ProcedureConfig",
     "SensitivityObservation",
@@ -86,7 +83,6 @@ __all__ = [
     "fp_summary",
     "load_observations",
     "min_tests_under_fn_cap",
-    "pool_test_outcome_probs",
     "posterior_given_negative_pool",
     "posterior_given_positive_pool",
     "read_sweep_csv",

@@ -220,8 +220,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     # One kernel call serves the metrics and both posteriors.
     outcomes = pool_outcomes(model, config.n, args.p, model.kit.sp, config.r) if pooled else None
     metrics = evaluate(model, args.p, config, outcomes)
-    # The optional stage diagnostics only when present.
-    pairs = [(name, value) for name, value in asdict(metrics).items() if value is not None]
+    pairs = list(asdict(metrics).items())
     if pooled:
         shape = (model, args.p, config.n, config.r, outcomes)
         pairs.append(("posterior_given_negative_pool", posterior_given_negative_pool(*shape)))
@@ -302,8 +301,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         at_p = table[table.p == p]
         retested = at_p[at_p.kind == Procedure.MODIFIED.value]
         for cap in FN_INCREASE_CAPS:
-            best = min_tests_under_fn_cap(retested, cap)
-            cells = ["", "", ""] if best is None else [best.relative_tests, best.config.n, best.config.r]
+            at = min_tests_under_fn_cap(retested, cap)
+            cells = ["", "", ""] if at is None else [retested.relative_tests[at], retested.n[at], retested.r[at]]
             cap_rows.append([p, cap, *cells])
         summary = fp_summary(at_p)
         # Procedure lists individual, dorfman, modified: the header's order.

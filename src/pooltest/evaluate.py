@@ -20,17 +20,20 @@ subject-level error rates into sums over the reduced pmf row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dilution import DilutionModel, TestKit
 from .kernels import (
+    MAX_POOL_SIZE,
+    MAX_RETESTS,
     PoolOutcomes,
     check_pool_size,
     check_prevalence,
     check_retest_count,
+    check_whole,
     pool_outcomes,
 )
 # Not called here, but bound under this module too: the benchmark's tracer
@@ -63,6 +66,72 @@ class Procedure(str, Enum):
     __str__ = str.__str__
 
 
+# The Metrics fields that may be None.
+_STAGES = ("e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage")
+
+
+class RowError(ValueError):
+    """A row of columns that fails a rule: which row, and the rule's message."""
+
+    def __init__(self, at: int, message: str):
+        super().__init__(f"row {at}: {message}")
+        self.at, self.message = at, message
+
+
+def check_rows(rules, values: dict) -> None:
+    """Raise ValueError for the first row that fails a rule, with the message
+    of the first rule that row fails.
+
+    rules are (failing rows, message) pairs in the order they run: each mask
+    is a bool over scalars or a bool array over numpy columns, and each
+    message is called with the failing row's values, which values maps by
+    name. Over columns the error is a RowError and reads "row N: message".
+    """
+    if isinstance(rules[0][0], np.ndarray):
+        failing = np.logical_or.reduce([mask for mask, _ in rules])
+        if failing.any():
+            at = int(failing.argmax())
+            row = {name: column[at].item() for name, column in values.items()}
+            raise RowError(at, next(message for mask, message in rules if mask[at])(**row))
+        return
+    for mask, message in rules:
+        if mask:
+            raise ValueError(message(**values))
+
+
+def finite_nonnegative(name: str, value) -> tuple:
+    """The rule that value, called name in its message, is finite and nonnegative."""
+    return (value != value) | (value < 0.0) | (value == math.inf), f"{name} must be finite and nonnegative, got {{{name}!r}}".format
+
+
+def shape_rules(kind, n, r) -> list[tuple]:
+    """The rules on a procedure's shape (kind, n, r); n and r are whole."""
+    individual, dorfman, modified = kind == "individual", kind == "dorfman", kind == "modified"
+    return [
+        ((kind != "individual") & (kind != "dorfman") & (kind != "modified"), "{kind!r} is not a valid Procedure".format),
+        ((n < 1) | (n > MAX_POOL_SIZE), f"pool size must lie in [1, {MAX_POOL_SIZE}], got {{n}}".format),
+        ((r < 1) | (r > MAX_RETESTS), f"retest count must lie in [1, {MAX_RETESTS}], got {{r}}".format),
+        (individual & ((n != 1) | (r != 1)), "individual testing requires n = r = 1, got n={n}, r={r}".format),
+        (dorfman & (n < 2), "dorfman requires pool size n >= 2, got n={n}".format),
+        (dorfman & (r != 1), "dorfman tests each pool once, got r={r}".format),
+        (modified & (n < 2), "modified procedure requires pool size n >= 2, got n={n}".format),
+    ]
+
+
+def metric_rules(values: dict) -> list[tuple]:
+    """The rules on the Metrics fields that values maps to scalars or columns;
+    a stage diagnostic that is None or absent is not checked."""
+    rules = [finite_nonnegative(name, value) for name, value in values.items() if value is not None or name not in _STAGES]
+    stage_tests, fn_pool, fn_individual = values.get(_STAGES[0]), values.get(_STAGES[1]), values.get(_STAGES[2])
+    if stage_tests is not None:
+        rules.append((stage_tests > values["e_tests"] + 1e-12, "individual-stage tests cannot exceed total expected tests: "
+                      "{e_tests_individual_stage} > {e_tests}".format))
+    if fn_pool is not None and fn_individual is not None:
+        rules.append((abs(fn_pool + fn_individual - values["e_fn"]) > 1e-12, lambda e_fn, e_fn_pool_stage, e_fn_individual_stage, **_:
+                      f"stage false negatives {e_fn_pool_stage + e_fn_individual_stage} do not add up to e_fn {e_fn}"))
+    return rules
+
+
 @dataclass(frozen=True)
 class ProcedureConfig:
     """A procedure plus its shape: pool size n and total pool-test budget r.
@@ -76,31 +145,18 @@ class ProcedureConfig:
     r: int = 1
 
     def __post_init__(self) -> None:
-        kind = Procedure(self.kind)
-        object.__setattr__(self, "kind", kind)
-        n = check_pool_size(self.n)
-        r = check_retest_count(self.r)
-        if kind is Procedure.INDIVIDUAL:
-            if n != 1 or r != 1:
-                raise ValueError(f"individual testing requires n = r = 1, got n={n}, r={r}")
-        elif kind is Procedure.DORFMAN:
-            if n < 2:
-                raise ValueError(f"dorfman requires pool size n >= 2, got n={n}")
-            if r != 1:
-                raise ValueError(f"dorfman tests each pool once, got r={r}")
-        else:
-            if n < 2:
-                raise ValueError(f"modified procedure requires pool size n >= 2, got n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
+        # Whole n and r first, as a table's integer columns hold them.
+        values = {"kind": self.kind, "n": check_whole(self.n, "pool size"), "r": check_whole(self.r, "retest count")}
+        check_rows(shape_rules(**values), values)
+        vars(self).update(values, kind=Procedure(self.kind))  # frozen: set through the instance dict
 
 
 @dataclass(frozen=True)
 class Metrics:
     """Per-subject expectations for one procedure configuration.
 
-    The three stage diagnostics are optional because persisted sweeps only
-    carry the headline numbers; when present they satisfy
+    The three stage diagnostics are optional because a sweep's rows, swept or
+    persisted, carry only the headline numbers; when present they satisfy
     e_fn_pool_stage + e_fn_individual_stage == e_fn and
     e_tests_individual_stage <= e_tests.
     """
@@ -113,30 +169,9 @@ class Metrics:
     e_fn_individual_stage: float | None = None
 
     def __post_init__(self) -> None:
-        for name, optional in _METRIC_FIELDS:
-            value = getattr(self, name)
-            if value is None and optional:  # an optional stage diagnostic
-                continue
-            value = float(value)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.e_tests_individual_stage is not None:
-            if self.e_tests_individual_stage > self.e_tests + 1e-12:
-                raise ValueError(
-                    "individual-stage tests cannot exceed total expected tests: "
-                    f"{self.e_tests_individual_stage} > {self.e_tests}"
-                )
-        if self.e_fn_pool_stage is not None and self.e_fn_individual_stage is not None:
-            total = self.e_fn_pool_stage + self.e_fn_individual_stage
-            if abs(total - self.e_fn) > 1e-12:
-                raise ValueError(
-                    f"stage false negatives {total} do not add up to e_fn {self.e_fn}"
-                )
-
-
-# (name, optional) of each Metrics field, taken once rather than per instance.
-_METRIC_FIELDS = tuple((f.name, f.default is None) for f in fields(Metrics))
+        values = {name: None if value is None else float(value) for name, value in vars(self).items()}
+        check_rows(metric_rules(values), values)
+        vars(self).update(values)
 
 
 def eval_individual(kit: TestKit, p: float) -> Metrics:
@@ -225,12 +260,11 @@ def eval_modified(
 def evaluate(
     model: DilutionModel, p: float, config: ProcedureConfig, outcomes: PoolOutcomes | None = None
 ) -> Metrics:
-    """Dispatch to the evaluator matching config.kind; outcomes works as in
+    """Metrics of config at p: eval_individual's, or eval_modified's for
+    dorfman, whose r is 1, and the modified procedure. outcomes works as in
     eval_modified and is not used for individual testing."""
     if config.kind is Procedure.INDIVIDUAL:
         return eval_individual(model.kit, p)
-    if config.kind is Procedure.DORFMAN:
-        return eval_dorfman(model, p, config.n, outcomes)
     return eval_modified(model, p, config.n, config.r, outcomes)
 
 

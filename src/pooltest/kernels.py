@@ -12,8 +12,10 @@ with one matmul. It weighs them by one binomial pmf row per prevalence: the
 law of a subject's n - 1 pool mates. Shifted by one positive, that row gives a
 positive subject's shares; unshifted, a negative subject's. The pool-level
 chances are the p-mixture of the two (Pascal's rule). Every probability is a
-sum of nonnegative terms, never one minus another, so a missed share near
-1e-18 or a declared-positive chance that underflows to 0 keeps its digits.
+sum of nonnegative terms, or one minus such a sum of at most 1/2, so a missed
+share near 1e-18 or a declared-positive chance that underflows to 0 keeps its
+digits; a share and its complement weigh the same row, so they add to 1, and
+the missed share of a pool size that never detects is exactly 1.
 The tensors are built one size at a time, 16 MB each at n = 10,000 and r = 100.
 
 The binomial pmf row is C. Loader's saddle-point form ("Fast and Accurate
@@ -40,6 +42,7 @@ __all__ = [
     "check_prevalence",
     "check_pool_size",
     "check_retest_count",
+    "check_whole",
     "is_whole",
 ]
 
@@ -73,10 +76,15 @@ def is_whole(value) -> bool:
         return False
 
 
-def _check_count(value, what: str, minimum: int, maximum: int) -> int:
+def check_whole(value, what: str) -> int:
+    """value as an int, or ValueError naming it what when it is not whole."""
     if not is_whole(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    value = int(value)
+    return int(value)
+
+
+def _check_count(value, what: str, minimum: int, maximum: int) -> int:
+    value = check_whole(value, what)
     if not minimum <= value <= maximum:
         raise ValueError(f"{what} must lie in [{minimum}, {maximum}], got {value}")
     return value
@@ -214,6 +222,9 @@ def pool_outcomes(model: SensitivityModel, n, p, sp: float, r_max: int) -> PoolO
     np.minimum(shares, 1.0, out=shares)
     shape = p_array.shape + n_array.shape + (r_max + 1,)
     (cleared, missed), (false_alarm, detected) = shares.transpose(2, 4, 0, 1, 3).reshape(2, 2, *shape)
+    # One minus a share of at most 1/2 forms no small number.
+    np.subtract(1.0, detected, out=missed, where=detected <= 0.5)
+    np.subtract(1.0, false_alarm, out=cleared, where=false_alarm <= 0.5)
     # Pascal's rule, Pr(k; n, p) = p Pr(k-1; n-1, p) + (1-p) Pr(k; n-1, p): a
     # p-mixture of shares, each at most 1, rounds to at most 1.
     mix = prevalences.reshape(p_array.shape + (1,) * (n_array.ndim + 1))
@@ -230,13 +241,8 @@ def pool_outcomes(model: SensitivityModel, n, p, sp: float, r_max: int) -> PoolO
 def pool_test_outcome_probs(
     model: SensitivityModel, n: int, p: float, sp: float, r: int
 ) -> tuple[float, float]:
-    """(P(pool declared positive), P(declared negative)) under up to r reads.
-
-    A pool with k >= 1 positives is declared positive with probability
-    1 - (1 - Se(n,k))^r, a clean pool with probability 1 - sp^r; both are
-    averaged over the binomial count distribution. Each of the pair is its
-    own sum, so they add to one up to rounding.
-    """
+    """(P(pool declared positive), P(declared negative)) under up to r reads:
+    entry r of pool_outcomes' pair, which adds to one up to rounding."""
     r = check_retest_count(r)
     outcomes = pool_outcomes(model, n, p, sp, r)
     return float(outcomes.p_declared_pos[r]), float(outcomes.p_declared_neg[r])

@@ -2,11 +2,11 @@
 
 A sweep evaluates individual testing, classic two-stage pooling over a range
 of pool sizes, and the retested procedure over pool sizes crossed with
-retest budgets, for each requested prevalence. Its result is one SweepTable,
-a numpy column per field: the kernel's metric arrays become its columns, the
-checks every point must pass run once per column, sweep.csv is written and
-read column by column, and the summaries are masked argmins over it.
-ParetoPoint is the view of one row, built on demand.
+retest budgets, for each requested prevalence. Its result is one SweepTable
+of sweep.csv's eleven columns, swept or read back alike: the kernel's metric
+arrays become its columns, evaluate's row rules run once per column,
+sweep.csv is written and read column by column, and the summaries are masked
+argmins over it that give row indices. ParetoPoint views one row.
 
 Points are compared on (expected tests, expected false negatives), both per
 subject and both minimized. Dominance is computed twice: within each
@@ -22,30 +22,34 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import CHUNK_ROWS, fmt_column, read_columns, write_cells
 from .dilution import DilutionModel, bateman_fit_model
-from .evaluate import Metrics, Procedure, ProcedureConfig, eval_individual, pooled_metrics
+from .evaluate import (
+    Metrics,
+    Procedure,
+    ProcedureConfig,
+    RowError,
+    check_rows,
+    eval_individual,
+    finite_nonnegative,
+    metric_rules,
+    pooled_metrics,
+    shape_rules,
+)
 # Not called here, but bound under this module too: the benchmark's tracer
 # wraps these names where the sweep used to look them up.
 from .evaluate import eval_dorfman, eval_modified  # noqa: F401
-from .kernels import (
-    MAX_POOL_SIZE,
-    MAX_RETESTS,
-    check_pool_size,
-    check_prevalence,
-    check_retest_count,
-    pool_outcomes,
-)
+from .kernels import check_pool_size, check_prevalence, check_retest_count, pool_outcomes
 
 __all__ = [
     "DEFAULT_SWEEP_PREVALENCES",
     "FN_INCREASE_CAPS",
     "SweepSpec",
     "SweepTable",
-    "ParetoPoint",
     "sweep",
     "min_tests_under_fn_cap",
     "fp_summary",
@@ -59,7 +63,7 @@ DEFAULT_SWEEP_PREVALENCES = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.
 # Allowed growth of E(FN) relative to individual testing: 100%, 10%, 1%.
 FN_INCREASE_CAPS = (1.0, 0.1, 0.01)
 
-_METRICS = tuple(f.name for f in fields(Metrics))
+_METRICS = ("e_tests", "e_fn", "e_fp")
 _INDIVIDUAL, _DORFMAN, _MODIFIED = (kind.value for kind in Procedure)
 
 
@@ -88,10 +92,8 @@ class SweepSpec:
             object.__setattr__(self, name, (lo, hi))
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One evaluated configuration with its standing relative to the others:
-    the view of one SweepTable row.
+class ParetoPoint(NamedTuple):
+    """One row of a SweepTable, as its integer index and iteration give it.
 
     relative_tests is E(T) over the individual-testing E(T) at the same
     prevalence; relative_fn_increase is E(FN) over the individual E(FN),
@@ -106,43 +108,22 @@ class ParetoPoint:
     dominated: bool
     dominated_joint: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", check_prevalence(self.p))
-        rel_tests = float(self.relative_tests)
-        if not math.isfinite(rel_tests) or rel_tests < 0.0:
-            raise ValueError(f"relative_tests must be finite and nonnegative, got {rel_tests!r}")
-        object.__setattr__(self, "relative_tests", rel_tests)
-        rel_fn = float(self.relative_fn_increase)
-        if math.isnan(rel_fn) or rel_fn < -1.0:
-            raise ValueError(f"relative_fn_increase must be >= -1, got {rel_fn!r}")
-        object.__setattr__(self, "relative_fn_increase", rel_fn)
-        object.__setattr__(self, "dominated", bool(self.dominated))
-        object.__setattr__(self, "dominated_joint", bool(self.dominated_joint))
-
     @property
     def kind(self) -> Procedure:
         return self.config.kind
 
 
-class _RowError(ValueError):
-    """A table row that fails its checks, and which row it is."""
-
-    def __init__(self, at: int, message: str):
-        super().__init__(f"row {at}: {message}")
-        self.at, self.message = at, message
-
-
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Sweep points as numpy columns, one row per point.
+    """Sweep points as numpy columns, one row per point: sweep.csv's eleven
+    columns in its order, whether swept or read back.
 
     kind holds Procedure values as strings, which compare equal to members.
-    The first eleven fields are sweep.csv's columns in its order; the stage
-    diagnostics come last and are None in a table read back from CSV, which
-    does not persist them. Every check a ParetoPoint, its ProcedureConfig and
-    its Metrics make runs once per column; the first failing row raises
-    ValueError with the message its row view gives. len, integer indexing and
-    iteration give ParetoPoint rows; a mask or slice gives a table.
+    The rules on a ProcedureConfig and a Metrics, and the table's own on p
+    and the relative columns, run once per column; the first failing row
+    raises ValueError with the message of the first rule it fails, after
+    "row N: ". len, integer indexing and iteration give ParetoPoint rows; a
+    mask or slice gives a table.
     """
 
     p: np.ndarray
@@ -156,50 +137,26 @@ class SweepTable:
     relative_fn_increase: np.ndarray
     dominated: np.ndarray
     dominated_joint: np.ndarray
-    e_tests_individual_stage: np.ndarray | None = None
-    e_fn_pool_stage: np.ndarray | None = None
-    e_fn_individual_stage: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         for name, column in self._columns().items():
-            if column is not None:
-                array = np.asarray(column, dtype=_DTYPES.get(name, float))
-                if name in ("n", "r") and not np.array_equal(array, column):
-                    raise ValueError(f"{name} must hold integers, got {column!r}")
-                object.__setattr__(self, name, array)
-        shapes = {column.shape for column in self._columns().values() if column is not None}
-        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            array = np.asarray(column, dtype=_DTYPES.get(name, float))
+            if name in ("n", "r") and not np.array_equal(array, column):
+                raise ValueError(f"{name} must hold integers, got {column!r}")
+            object.__setattr__(self, name, array)
+        if len({column.shape for column in self._columns().values()}) != 1 or self.p.ndim != 1:
             raise ValueError("table columns must be one-dimensional and of one length")
-        self._check_rows()
+        p, rel_fn = self.p, self.relative_fn_increase
+        check_rows([
+            *shape_rules(self.kind, self.n, self.r),
+            *metric_rules({name: getattr(self, name) for name in _METRICS}),
+            ((p != p) | (p <= 0.0) | (p >= 1.0), "prevalence must lie strictly between 0 and 1, got {p!r}".format),
+            finite_nonnegative("relative_tests", self.relative_tests),
+            ((rel_fn != rel_fn) | (rel_fn < -1.0), "relative_fn_increase must be >= -1, got {relative_fn_increase!r}".format),
+        ], self._columns())
 
-    def _columns(self) -> dict[str, np.ndarray | None]:
+    def _columns(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def _check_rows(self) -> None:
-        kind, n, r = self.kind, self.n, self.r
-        # Comparisons of nan and inf flag rows; the arithmetic on them must not warn.
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad = (kind != _INDIVIDUAL) & (kind != _DORFMAN) & (kind != _MODIFIED)
-            bad |= (n < 1) | (n > MAX_POOL_SIZE) | (r < 1) | (r > MAX_RETESTS)
-            bad |= np.where(kind == _INDIVIDUAL, (n != 1) | (r != 1), (n < 2) | ((kind == _DORFMAN) & (r != 1)))
-            for name in _METRICS:
-                column = getattr(self, name)
-                if column is not None:
-                    bad |= ~(np.isfinite(column) & (column >= 0.0))
-            if self.e_tests_individual_stage is not None:
-                bad |= self.e_tests_individual_stage > self.e_tests + 1e-12
-            if self.e_fn_pool_stage is not None and self.e_fn_individual_stage is not None:
-                bad |= np.abs(self.e_fn_pool_stage + self.e_fn_individual_stage - self.e_fn) > 1e-12
-            bad |= ~((self.p > 0.0) & (self.p < 1.0))
-            bad |= ~(np.isfinite(self.relative_tests) & (self.relative_tests >= 0.0))
-            bad |= ~(self.relative_fn_increase >= -1.0)
-        if bad.any():
-            at = int(bad.argmax())
-            try:
-                self[at]
-            except ValueError as exc:
-                raise _RowError(at, str(exc)) from None
-            raise _RowError(at, "fails a column check that its row view passes")
 
     def __len__(self) -> int:
         return len(self.p)
@@ -208,19 +165,10 @@ class SweepTable:
         if not isinstance(at, (int, np.integer)):
             # Rows of a checked table pass the checks: the subset skips them.
             subset = object.__new__(SweepTable)
-            for name, column in self._columns().items():
-                object.__setattr__(subset, name, None if column is None else column[at])
+            vars(subset).update((name, column[at]) for name, column in self._columns().items())
             return subset
-        metrics = (getattr(self, name) for name in _METRICS)
-        return ParetoPoint(
-            p=self.p[at].item(),
-            config=ProcedureConfig(str(self.kind[at]), int(self.n[at]), int(self.r[at])),
-            metrics=Metrics(*(None if column is None else column[at].item() for column in metrics)),
-            relative_tests=self.relative_tests[at].item(),
-            relative_fn_increase=self.relative_fn_increase[at].item(),
-            dominated=self.dominated[at],
-            dominated_joint=self.dominated_joint[at],
-        )
+        row = [column[at].item() for column in self._columns().values()]
+        return ParetoPoint(row[0], ProcedureConfig(*row[1:4]), Metrics(*row[4:7]), *row[7:])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -233,8 +181,7 @@ class SweepTable:
 
 _DTYPES = {"kind": str, "n": np.int64, "r": np.int64, "dominated": bool, "dominated_joint": bool}
 
-# The table's first eleven fields, in their order.
-SWEEP_CSV_COLUMNS = [f.name for f in fields(SweepTable)][:11]
+SWEEP_CSV_COLUMNS = [f.name for f in fields(SweepTable)]
 
 
 def _dominated(group: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -314,8 +261,8 @@ def sweep(spec: SweepSpec) -> SweepTable:
     )
 
 
-def min_tests_under_fn_cap(table: SweepTable, cap: float) -> ParetoPoint | None:
-    """Cheapest point whose FN increase stays within cap, or None.
+def min_tests_under_fn_cap(table: SweepTable, cap: float) -> int | None:
+    """The row index of the cheapest point whose FN increase stays within cap, or None.
 
     Feasible means relative_fn_increase <= cap and strictly fewer expected
     tests than individual testing. Ties on cost break toward smaller r, then
@@ -329,7 +276,7 @@ def min_tests_under_fn_cap(table: SweepTable, cap: float) -> ParetoPoint | None:
     if not feasible.size:
         return None
     best = np.lexsort((table.n[feasible], table.r[feasible], table.relative_tests[feasible]))[0]
-    return table[int(feasible[best])]
+    return int(feasible[best])
 
 
 def fp_summary(table: SweepTable) -> dict[Procedure, float]:
@@ -405,8 +352,7 @@ def _parse(cells: tuple[str, ...], convert) -> tuple[list, tuple[int, str] | Non
 def read_sweep_csv(path: str | Path) -> SweepTable:
     """Load a table written by write_sweep_csv, parsing it column by column.
 
-    The table carries no stage diagnostics, which are not persisted;
-    dominance flags come back as written, not recomputed. A cell that does not
+    Dominance flags come back as written, not recomputed. A cell that does not
     parse, or a row that fails the table's checks, raises ValueError naming
     the path and the line of the first such row (within a row, a cell that
     does not parse first). So does a repeated (p, kind, n, r) row, or a
@@ -428,7 +374,7 @@ def read_sweep_csv(path: str | Path) -> SweepTable:
     # The rows above the first cell that does not parse may still fail a check first.
     try:
         table = SweepTable(**{name: np.concatenate(parts) if parts else [] for name, parts in chunks.items()})
-    except _RowError as exc:
+    except RowError as exc:
         raise ValueError(f"{path}:{lines[exc.at]}: {exc.message}") from None
     if message is not None:
         raise ValueError(message)

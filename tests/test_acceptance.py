@@ -29,11 +29,11 @@ from pooltest import (
     fit_dilution_model,
     fp_summary,
     min_tests_under_fn_cap,
-    pool_test_outcome_probs,
     simulate,
     sweep,
 )
 from pooltest.cli import main as cli_main
+from pooltest.kernels import pool_test_outcome_probs
 
 from _oracles import enumerate_pooled_metrics
 
@@ -106,12 +106,13 @@ class TestCriterion1CostByCapTable:
                 for cap in FN_CAPS:
                     if (p, cap) in DIVERGENT_CELLS:
                         continue
-                    best = min_tests_under_fn_cap(family, cap)
+                    at = min_tests_under_fn_cap(family, cap)
                     if cap not in row:
-                        assert best is None, (p, cap, best)
+                        assert at is None, (p, cap, family[at])
                         continue
                     ref_tests, ref_r = row[cap]
-                    assert best is not None, (p, cap)
+                    assert at is not None, (p, cap)
+                    best = family[at]
                     assert abs(best.relative_tests - ref_tests) <= 0.005, (p, cap, best)
                     assert best.config.r == ref_r, (p, cap, best)
 
@@ -121,9 +122,10 @@ class TestCriterion1CostByCapTable:
         "28.8% because the nearby n=13, r=2 point overshoots the cap",
     )
     def test_divergent_cell_p01_loosest_cap(self, full_sweep):
-        best = min_tests_under_fn_cap(_modified_points(full_sweep, 0.01), 1.0)
-        assert best is not None
-        assert abs(best.relative_tests - 0.282) <= 0.005, best
+        family = _modified_points(full_sweep, 0.01)
+        at = min_tests_under_fn_cap(family, 1.0)
+        assert at is not None
+        assert abs(family.relative_tests[at] - 0.282) <= 0.005, family[at]
 
     @pytest.mark.xfail(
         strict=True,
@@ -131,8 +133,9 @@ class TestCriterion1CostByCapTable:
         "tests within the cap and no sensitivity curve can exclude it",
     )
     def test_divergent_cell_p02_loosest_cap(self, full_sweep):
-        best = min_tests_under_fn_cap(_modified_points(full_sweep, 0.2), 1.0)
-        assert best is None, best
+        family = _modified_points(full_sweep, 0.2)
+        at = min_tests_under_fn_cap(family, 1.0)
+        assert at is None, family[at]
 
 
 class TestCriterion2FalsePositiveTable:
@@ -168,7 +171,7 @@ class TestCriterion3DorfmanContrast:
         family = _modified_points(full_sweep, 0.001)
         dorfman = _family(full_sweep, 0.001, Procedure.DORFMAN)
         for cap, n, increase in ((0.01, 5, 6.545), (0.1, 7, 7.790)):
-            cell = min_tests_under_fn_cap(family, cap)
+            cell = family[min_tests_under_fn_cap(family, cap)]
             cheaper = dorfman[dorfman.relative_tests <= cell.relative_tests]
             match = cheaper[int(np.argmax(cheaper.relative_tests))]
             assert match.config.n == n, (cap, match)

@@ -130,6 +130,19 @@ class TestIndividual:
 
 
 class TestPooledEvaluators:
+    def test_blind_pool_sizes_miss_exactly_p(self):
+        """From n = 789 the Bateman curve clamps Se(n, k) to 0 for every k, so
+        a pool never reads positive and every positive subject is missed:
+        e_fn is p exactly, not p times a pmf row's sum a few ulps off 1."""
+        model = bateman_fit_model()
+        for n in (789, 1_000, 9_995, 9_996, 10_000):
+            for p in (0.001, 0.3):
+                outcomes = pool_outcomes(model, n, p, model.kit.sp, 100)
+                for kind, r in ((Procedure.DORFMAN, 1), (Procedure.MODIFIED, 1), (Procedure.MODIFIED, 7), (Procedure.MODIFIED, 100)):
+                    metrics = evaluate(model, p, ProcedureConfig(kind, n, r), outcomes)
+                    assert metrics.e_fn == p, (n, p, kind, r, metrics.e_fn - p)
+                    assert metrics.e_fn_pool_stage == p and metrics.e_fn_individual_stage == 0.0
+
     def test_perfect_test_reduction(self):
         """With Se = Sp = 1 the only cost is the pool stage plus escalation."""
         model = DilutionModel(kit=TestKit(se_i=1.0, sp=1.0), alpha=0.0, beta=0.0)
@@ -288,7 +301,8 @@ class TestBatchedOutcomes:
             ]
             per_size = {size: pool_outcomes(model, size, p, model.kit.sp, r_max) for size in sizes}
             want = [eval_modified(model, p, pt.config.n, pt.config.r, per_size[pt.config.n]) for pt in swept]
-            for name in _METRIC_FIELDS:
+            # The sweep holds the three headline metrics, not the stage diagnostics.
+            for name in _METRIC_FIELDS[:3]:
                 np.testing.assert_allclose(
                     [getattr(pt.metrics, name) for pt in swept], [getattr(m, name) for m in want],
                     rtol=1e-12, atol=1e-15, err_msg=f"sweep's {name} at p={p}, n<={n}",
@@ -378,7 +392,7 @@ class TestLemmas:
 class TestPosteriors:
     def test_total_probability(self):
         """The two conditionals glued by the outcome probabilities give back p."""
-        from pooltest import pool_test_outcome_probs
+        from pooltest.kernels import pool_test_outcome_probs
 
         model = bateman_fit_model()
         rng = np.random.default_rng(33)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pooltest import ProcedureConfig, bateman_fit_model, evaluate, pool_test_outcome_probs
+from pooltest import ProcedureConfig, bateman_fit_model, evaluate
 from pooltest.kernels import (
     PoolOutcomes,
     binomial_pmf_row,
@@ -17,6 +17,7 @@ from pooltest.kernels import (
     check_prevalence,
     check_retest_count,
     pool_outcomes,
+    pool_test_outcome_probs,
 )
 
 from _oracles import (

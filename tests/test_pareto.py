@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from pooltest import (
     Metrics,
-    ParetoPoint,
     Procedure,
     ProcedureConfig,
     SweepSpec,
@@ -26,7 +26,9 @@ from pooltest import (
     write_sweep_csv,
 )
 from pooltest.csvio import fmt, fmt_column
-from pooltest.pareto import SWEEP_CSV_COLUMNS, _dominated
+from pooltest.evaluate import check_rows, metric_rules
+from pooltest.kernels import check_prevalence
+from pooltest.pareto import SWEEP_CSV_COLUMNS, ParetoPoint, _dominated
 
 from _oracles import brute_force_front
 
@@ -51,7 +53,7 @@ def _point(p, e_tests, e_fn, kind=Procedure.MODIFIED, n=5, r=2, e_fp=0.001,
 
 
 def _table(*points):
-    """A SweepTable of these rows, without stage diagnostics."""
+    """A SweepTable of these rows."""
     rows = [
         (pt.p, pt.kind.value, pt.config.n, pt.config.r, pt.metrics.e_tests, pt.metrics.e_fn, pt.metrics.e_fp,
          pt.relative_tests, pt.relative_fn_increase, pt.dominated, pt.dominated_joint)
@@ -144,7 +146,9 @@ class TestSweep:
             assert (pt.p, pt.kind.value, pt.config.n, pt.config.r) == (
                 small_sweep.p[at], small_sweep.kind[at], small_sweep.n[at], small_sweep.r[at]
             )
-            assert pt.metrics.e_fn_pool_stage == small_sweep.e_fn_pool_stage[at]
+            assert (pt.metrics.e_tests, pt.metrics.e_fn, pt.metrics.e_fp) == (
+                small_sweep.e_tests[at], small_sweep.e_fn[at], small_sweep.e_fp[at]
+            )
             assert (pt.dominated, pt.dominated_joint) == (small_sweep.dominated[at], small_sweep.dominated_joint[at])
 
     def test_deterministic(self, small_sweep):
@@ -176,10 +180,7 @@ class TestSweep:
             at_p = points[points.p == p]
             configs = [ProcedureConfig(*row) for row in zip(at_p.kind.tolist(), at_p.n.tolist(), at_p.r.tolist())]
             single = [evaluate(model, p, config) for config in configs]
-            for name in (
-                "e_tests", "e_fn", "e_fp",
-                "e_tests_individual_stage", "e_fn_pool_stage", "e_fn_individual_stage",
-            ):
+            for name in ("e_tests", "e_fn", "e_fp"):
                 np.testing.assert_allclose(
                     getattr(at_p, name), [getattr(metrics, name) for metrics in single],
                     rtol=1e-12, atol=1e-15, err_msg=f"{name} at {p}",
@@ -209,6 +210,25 @@ class TestSweep:
                 tracemalloc.stop()
             assert len(points) == len(prevalences) * (1 + 11 + 11 * 100)
             assert one_size < peak < 3 * one_size, (prevalences, peak / one_size)
+
+    def test_edge_grid_flags_match_brute_force(self):
+        """CI's edge grid, n 9,990-10,000 and r 1-100 at p = 0.001 and 0.3,
+        holds only pool sizes that never detect under the Bateman preset, so
+        each pooled e_fn is p exactly; the flags are the brute-force fronts of
+        those exact objectives, and in each pooled family only the cheapest
+        point, n = 10,000 read once, survives."""
+        table = sweep(SweepSpec((0.001, 0.3), (9_990, 10_000), (1, 100)))
+        for p in (0.001, 0.3):
+            at_p = table[table.p == p]
+            pooled = at_p.kind != Procedure.INDIVIDUAL.value
+            assert (at_p.e_fn[pooled] == p).all(), p
+            objectives = list(zip(at_p.e_tests.tolist(), at_p.e_fn.tolist()))
+            assert set(np.flatnonzero(~at_p.dominated_joint).tolist()) == brute_force_front(objectives)
+            for kind in (Procedure.DORFMAN, Procedure.MODIFIED):
+                idx = np.flatnonzero(at_p.kind == kind.value).tolist()
+                survivors = {idx[j] for j in brute_force_front([objectives[i] for i in idx])}
+                assert survivors == {i for i in idx if not at_p.dominated[i]}, (p, kind)
+                assert [(at_p.n[i], at_p.r[i]) for i in survivors] == [(10_000, 1)], (p, kind)
 
     def test_joint_front_prefers_retesting_on_misses(self, small_sweep):
         """Any single-read pooled point is matched or beaten on false
@@ -290,28 +310,28 @@ class TestMinTestsUnderCap:
         cheap_leaky = _point(0.01, 0.3, 0.0, rel_fn=0.5)
         costly_tight = _point(0.01, 0.6, 0.0, rel_fn=0.005)
         points = _table(cheap_leaky, costly_tight)
-        assert min_tests_under_fn_cap(points, cap=1.0) == cheap_leaky
-        assert min_tests_under_fn_cap(points, cap=0.01) == costly_tight
+        assert points[min_tests_under_fn_cap(points, cap=1.0)] == cheap_leaky
+        assert points[min_tests_under_fn_cap(points, cap=0.01)] == costly_tight
         assert min_tests_under_fn_cap(points, cap=0.001) is None
 
     def test_monotone_in_cap(self, small_sweep):
         modified = small_sweep[small_sweep.kind == Procedure.MODIFIED.value]
         previous = None
         for cap in (0.001, 0.01, 0.1, 1.0, 10.0):
-            best = min_tests_under_fn_cap(modified, cap)
-            if best is None:
+            at = min_tests_under_fn_cap(modified, cap)
+            if at is None:
                 assert previous is None
                 continue
             if previous is not None:
-                assert best.relative_tests <= previous + 1e-15
-            previous = best.relative_tests
+                assert modified.relative_tests[at] <= previous + 1e-15
+            previous = modified.relative_tests[at]
 
     def test_tie_breaks_toward_fewer_reads_then_smaller_pools(self):
         a = _point(0.01, 0.5, 0.0, rel_fn=0.0, n=8, r=3)
         b = _point(0.01, 0.5, 0.0, rel_fn=0.0, n=12, r=2)
         c = _point(0.01, 0.5, 0.0, rel_fn=0.0, n=9, r=2)
-        best = min_tests_under_fn_cap(_table(a, b, c), cap=1.0)
-        assert best == c
+        points = _table(a, b, c)
+        assert points[min_tests_under_fn_cap(points, cap=1.0)] == c
 
     def test_cap_validation(self):
         with pytest.raises(ValueError, match="cap"):
@@ -373,7 +393,7 @@ class TestSweepCsv:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(small_sweep, name), err_msg=name)
         np.testing.assert_allclose(loaded.e_tests, small_sweep.e_tests, rtol=1e-5)
         np.testing.assert_allclose(loaded.relative_fn_increase, small_sweep.relative_fn_increase, rtol=1e-5)
-        assert loaded.e_fn_pool_stage is None
+        assert [f.name for f in fields(loaded)] == [f.name for f in fields(small_sweep)] == SWEEP_CSV_COLUMNS
 
     def test_rewrite_is_idempotent(self, small_sweep, tmp_path):
         """Six significant digits round-trip to the same bytes."""
@@ -443,6 +463,80 @@ class TestSweepCsv:
         path.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: no individual row for prevalence 0.01")):
             read_sweep_csv(path)
+
+
+# A valid row, and each rule a table row must pass with one row that fails
+# only it: its cells over the valid row's, the scalar check that states the
+# same rule (None for the table's own relative columns), and the message.
+_VALID_ROW = dict(p=0.01, kind="modified", n=5, r=2, e_tests=0.4, e_fn=0.002, e_fp=0.003,
+                  relative_tests=0.4, relative_fn_increase=0.1, dominated=False, dominated_joint=True)
+
+
+def _config(row):
+    return ProcedureConfig(row["kind"], row["n"], row["r"])
+
+
+def _metrics(row):
+    return Metrics(row["e_tests"], row["e_fn"], row["e_fp"])
+
+
+def _prevalence(row):
+    return check_prevalence(row["p"])
+
+
+class TestTableRulesReadAsScalarRules:
+    @pytest.mark.parametrize("cells, scalar, message", [
+        (dict(kind="pooled"), _config, "'pooled' is not a valid Procedure"),
+        (dict(n=10_001), _config, "pool size must lie in [1, 10000], got 10001"),
+        (dict(n=0), _config, "pool size must lie in [1, 10000], got 0"),
+        (dict(r=101), _config, "retest count must lie in [1, 100], got 101"),
+        (dict(kind="individual", r=1), _config, "individual testing requires n = r = 1, got n=5, r=1"),
+        (dict(kind="dorfman", n=1, r=1), _config, "dorfman requires pool size n >= 2, got n=1"),
+        (dict(kind="dorfman"), _config, "dorfman tests each pool once, got r=2"),
+        (dict(n=1), _config, "modified procedure requires pool size n >= 2, got n=1"),
+        (dict(e_tests=-0.5), _metrics, "e_tests must be finite and nonnegative, got -0.5"),
+        (dict(e_fn=math.inf), _metrics, "e_fn must be finite and nonnegative, got inf"),
+        (dict(e_fp=math.nan), _metrics, "e_fp must be finite and nonnegative, got nan"),
+        (dict(p=1.0), _prevalence, "prevalence must lie strictly between 0 and 1, got 1.0"),
+        (dict(p=math.nan), _prevalence, "prevalence must lie strictly between 0 and 1, got nan"),
+        (dict(relative_tests=math.inf), None, "relative_tests must be finite and nonnegative, got inf"),
+        (dict(relative_fn_increase=-1.5), None, "relative_fn_increase must be >= -1, got -1.5"),
+        (dict(relative_fn_increase=math.nan), None, "relative_fn_increase must be >= -1, got nan"),
+    ])
+    def test_table_names_the_row_with_the_scalar_message(self, cells, scalar, message):
+        """Rows 0 and 2 pass, row 1 fails one rule; a later row that fails
+        another rule does not take its place."""
+        bad = {**_VALID_ROW, **cells}
+        worse = {**_VALID_ROW, "e_tests": -1.0, "kind": "pooled"}
+        columns = {name: [_VALID_ROW[name], bad[name], _VALID_ROW[name], worse[name]] for name in SWEEP_CSV_COLUMNS}
+        with pytest.raises(ValueError) as raised:
+            SweepTable(**columns)
+        assert str(raised.value) == f"row 1: {message}"
+        if scalar is not None:
+            with pytest.raises(ValueError) as raised:
+                scalar(bad)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("stages, message", [
+        (dict(e_tests_individual_stage=-0.1), "e_tests_individual_stage must be finite and nonnegative, got -0.1"),
+        (dict(e_fn_pool_stage=math.inf), "e_fn_pool_stage must be finite and nonnegative, got inf"),
+        (dict(e_fn_individual_stage=math.nan), "e_fn_individual_stage must be finite and nonnegative, got nan"),
+        (dict(e_tests_individual_stage=0.9), "individual-stage tests cannot exceed total expected tests: 0.9 > 0.4"),
+        (dict(e_fn_pool_stage=0.002, e_fn_individual_stage=0.001), "stage false negatives 0.003 do not add up to e_fn 0.002"),
+    ])
+    def test_stage_rules_read_the_same_over_columns(self, stages, message):
+        """The stage diagnostics are in no table, but their rules run on
+        columns as on a Metrics."""
+        valid = dict(e_tests=0.4, e_fn=0.002, e_fp=0.003, e_tests_individual_stage=0.3,
+                     e_fn_pool_stage=0.0015, e_fn_individual_stage=0.0005)
+        bad = {**valid, **stages}
+        with pytest.raises(ValueError) as raised:
+            Metrics(**bad)
+        assert str(raised.value) == message
+        columns = {name: np.array([valid[name], bad[name]]) for name in valid}
+        with pytest.raises(ValueError) as raised:
+            check_rows(metric_rules(columns), columns)
+        assert str(raised.value) == f"row 1: {message}"
 
 
 @pytest.fixture(scope="module")
