@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 _SIX_DIGITS = "%.6g"
@@ -38,13 +38,15 @@ def write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -
     write_cells(path, header, ([fmt(cell) if isinstance(cell, float) else str(cell) for cell in row] for row in rows))
 
 
-def read_columns(path: str | Path, header: list[str]) -> Iterator[tuple[tuple[int, ...], list[tuple[str, ...]]]]:
+def read_columns(path: str | Path, header: list[str], parsers: Sequence[Callable]) -> Iterator[tuple[tuple[int, ...], list[list]]]:
     """For each run of up to CHUNK_ROWS rows under a header of exactly these
-    names, the rows' line numbers and their cells column by column.
+    names, the rows' line numbers and their cells column by column, each
+    column parsed by its parser in one map.
 
     Header cells are stripped and blank rows skipped. A missing or other
-    header, or a row of another width, raises ValueError naming the path, and
-    the line of a bad row.
+    header, a row of another width, or a cell its parser rejects raises
+    ValueError naming the path, and the line of a bad row: in a run, the first
+    of another width, else the first such cell's, with its parser's message.
     """
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
@@ -59,4 +61,15 @@ def read_columns(path: str | Path, header: list[str]) -> Iterator[tuple[tuple[in
                 if len(row) != len(header):
                     raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             lines, cells = zip(*chunk)
-            yield lines, list(zip(*cells))
+            try:
+                columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*cells))]
+            except ValueError:
+                # Only a run with a bad cell is walked again, row by row, to name it.
+                for lineno, row in chunk:
+                    for parse, cell in zip(parsers, row):
+                        try:
+                            parse(cell)
+                        except ValueError as exc:
+                            raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise
+            yield lines, columns

@@ -125,11 +125,6 @@ class DilutionModel:
             return min(max(raw, 0.0), 1.0)
         return np.minimum(np.maximum(raw, 0.0, out=raw), 1.0, out=raw)
 
-    def is_clamped(self, n: int, k):
-        """True where the raw curve leaves [0, 1] at (n, k) and clamping bites; a bool for a float curve."""
-        raw = self.raw_sensitivity(n, k)
-        return (raw < 0.0) | (raw > 1.0)
-
 
 @dataclass(frozen=True)
 class SensitivityObservation:
@@ -245,10 +240,10 @@ def fit_dilution_model(
 def load_observations(path: str | Path) -> tuple[SensitivityObservation, ...]:
     """Read pool sensitivity observations from a CSV with header n,k,se."""
     observations = []
-    for lines, columns in read_columns(path, ["n", "k", "se"]):
+    for lines, columns in read_columns(path, ["n", "k", "se"], [int, int, float]):
         for line, n, k, se in zip(lines, *columns):
             try:
-                observations.append(SensitivityObservation(n=int(n), k=int(k), se_observed=float(se)))
+                observations.append(SensitivityObservation(n=n, k=k, se_observed=se))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from None
     if not observations:

@@ -91,7 +91,8 @@ def check_rows(rules, values: dict) -> None:
         failing = np.logical_or.reduce([mask for mask, _ in rules])
         if failing.any():
             at = int(failing.argmax())
-            row = {name: column[at].item() for name, column in values.items()}
+            # A slice's tolist gives Python scalars from object columns too.
+            row = {name: column[at : at + 1].tolist()[0] for name, column in values.items()}
             raise RowError(at, next(message for mask, message in rules if mask[at])(**row))
         return
     for mask, message in rules:
@@ -105,12 +106,12 @@ def finite_nonnegative(name: str, value) -> tuple:
 
 
 def shape_rules(kind, n, r) -> list[tuple]:
-    """The rules on a procedure's shape (kind, n, r); n and r are whole."""
+    """The rules on a procedure's shape (kind, n, r); none checks that n and r are whole."""
     individual, dorfman, modified = kind == "individual", kind == "dorfman", kind == "modified"
     return [
         ((kind != "individual") & (kind != "dorfman") & (kind != "modified"), "{kind!r} is not a valid Procedure".format),
-        ((n < 1) | (n > MAX_POOL_SIZE), f"pool size must lie in [1, {MAX_POOL_SIZE}], got {{n}}".format),
-        ((r < 1) | (r > MAX_RETESTS), f"retest count must lie in [1, {MAX_RETESTS}], got {{r}}".format),
+        ((n != n) | (n < 1) | (n > MAX_POOL_SIZE), f"pool size must lie in [1, {MAX_POOL_SIZE}], got {{n}}".format),
+        ((r != r) | (r < 1) | (r > MAX_RETESTS), f"retest count must lie in [1, {MAX_RETESTS}], got {{r}}".format),
         (individual & ((n != 1) | (r != 1)), "individual testing requires n = r = 1, got n={n}, r={r}".format),
         (dorfman & (n < 2), "dorfman requires pool size n >= 2, got n={n}".format),
         (dorfman & (r != 1), "dorfman tests each pool once, got r={r}".format),

@@ -5,8 +5,9 @@ of pool sizes, and the retested procedure over pool sizes crossed with
 retest budgets, for each requested prevalence. Its result is one SweepTable
 of sweep.csv's eleven columns, swept or read back alike: the kernel's metric
 arrays become its columns, evaluate's row rules run once per column,
-sweep.csv is written and read column by column, and the summaries are masked
-argmins over it that give row indices. ParetoPoint views one row.
+sweep.csv is written and parsed column by column with no row checks of its
+own, and the summaries are masked argmins over it that give row indices.
+ParetoPoint views one row.
 
 Points are compared on (expected tests, expected false negatives), both per
 subject and both minimized. Dominance is computed twice: within each
@@ -139,11 +140,7 @@ class SweepTable:
     dominated_joint: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, column in self._columns().items():
-            array = np.asarray(column, dtype=_DTYPES.get(name, float))
-            if name in ("n", "r") and not np.array_equal(array, column):
-                raise ValueError(f"{name} must hold integers, got {column!r}")
-            object.__setattr__(self, name, array)
+        vars(self).update((name, np.asarray(column, dtype=_DTYPES.get(name, float))) for name, column in self._columns().items())
         if len({column.shape for column in self._columns().values()}) != 1 or self.p.ndim != 1:
             raise ValueError("table columns must be one-dimensional and of one length")
         p, rel_fn = self.p, self.relative_fn_increase
@@ -154,6 +151,12 @@ class SweepTable:
             finite_nonnegative("relative_tests", self.relative_tests),
             ((rel_fn != rel_fn) | (rel_fn < -1.0), "relative_fn_increase must be >= -1, got {relative_fn_increase!r}".format),
         ], self._columns())
+        # Within their ranges, n and r fit int64; a value outside one has been named above.
+        for name, column in (("n", self.n), ("r", self.r)):
+            whole = column.astype(np.int64)
+            if not np.array_equal(whole, column):
+                raise ValueError(f"{name} must hold integers, got {column!r}")
+            vars(self)[name] = whole
 
     def _columns(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -179,7 +182,8 @@ class SweepTable:
         return all(np.array_equal(mine, theirs) for mine, theirs in zip(self._columns().values(), other._columns().values()))
 
 
-_DTYPES = {"kind": str, "n": np.int64, "r": np.int64, "dominated": bool, "dominated_joint": bool}
+# n and r stay as numpy reads them until the rules have run: a 31-digit int is no overflow.
+_DTYPES = {"kind": str, "n": None, "r": None, "dominated": bool, "dominated_joint": bool}
 
 SWEEP_CSV_COLUMNS = [f.name for f in fields(SweepTable)]
 
@@ -328,56 +332,30 @@ def _flag(name: str, cell: str) -> bool:
     return cell == "1"
 
 
-# How each CSV column's cells parse; kind stays text for the table's checks,
-# and n and r are range-checked as they parse, so no cell overflows int64.
-_PARSERS = {
-    "kind": str,
-    "n": lambda cell: check_pool_size(int(cell)),
-    "r": lambda cell: check_retest_count(int(cell)),
-    **{name: partial(_flag, name) for name in ("dominated", "dominated_joint")},
-}
-
-
-def _parse(cells: tuple[str, ...], convert) -> tuple[list, tuple[int, str] | None]:
-    """convert over cells up to the first it rejects, and that cell's index
-    and message, or None when it rejects none."""
-    values: list = []
-    try:
-        values.extend(map(convert, cells))
-    except ValueError as exc:
-        return values, (len(values), str(exc))
-    return values, None
+# How each CSV column's cells parse; the table's rules check what they give.
+_PARSERS = [{"kind": str, "n": int, "r": int}.get(name, float) for name in SWEEP_CSV_COLUMNS[:9]]
+_PARSERS += [partial(_flag, name) for name in SWEEP_CSV_COLUMNS[9:]]
 
 
 def read_sweep_csv(path: str | Path) -> SweepTable:
     """Load a table written by write_sweep_csv, parsing it column by column.
 
     Dominance flags come back as written, not recomputed. A cell that does not
-    parse, or a row that fails the table's checks, raises ValueError naming
-    the path and the line of the first such row (within a row, a cell that
-    does not parse first). So does a repeated (p, kind, n, r) row, or a
-    prevalence with no individual row to be relative to, naming the file.
+    parse raises ValueError naming the path and its line as the file is read;
+    then the first row that fails one of the table's rules does, with the
+    rule's message. So does a repeated (p, kind, n, r) row, or a prevalence
+    with no individual row to be relative to, naming the file.
     """
     lines: list[int] = []
-    message = None
-    chunks: dict[str, list[np.ndarray]] = {name: [] for name in SWEEP_CSV_COLUMNS}
-    for chunk_lines, cells in read_columns(path, SWEEP_CSV_COLUMNS):
-        parsed = {name: _parse(column, _PARSERS.get(name, float)) for name, column in zip(SWEEP_CSV_COLUMNS, cells)}
-        faults = [fault for _, fault in parsed.values() if fault is not None]
-        limit, message = min(faults, key=lambda fault: fault[0], default=(len(chunk_lines), None))
-        for name, (values, _) in parsed.items():
-            chunks[name].append(np.asarray(values[:limit], dtype=_DTYPES.get(name, float)))
-        lines += chunk_lines[:limit]
-        if message is not None:
-            message = f"{path}:{chunk_lines[limit]}: {message}"
-            break
-    # The rows above the first cell that does not parse may still fail a check first.
+    columns: list[list] = [[] for _ in SWEEP_CSV_COLUMNS]
+    for chunk_lines, chunk in read_columns(path, SWEEP_CSV_COLUMNS, _PARSERS):
+        lines += chunk_lines
+        for column, values in zip(columns, chunk):
+            column += values
     try:
-        table = SweepTable(**{name: np.concatenate(parts) if parts else [] for name, parts in chunks.items()})
+        table = SweepTable(*columns)
     except RowError as exc:
         raise ValueError(f"{path}:{lines[exc.at]}: {exc.message}") from None
-    if message is not None:
-        raise ValueError(message)
 
     keys = list(zip(table.p.tolist(), table.kind.tolist(), table.n.tolist(), table.r.tolist()))
     if len(set(keys)) < len(keys):

@@ -47,6 +47,12 @@ def _row_samples():
 _FORM_SIGN = {"k-over-n": 1.0, "n-over-k": -1.0}
 
 
+def _clamped(model, n, k):
+    """True where the raw curve leaves [0, 1] at (n, k), so that clamping bites."""
+    raw = model.raw_sensitivity(n, k)
+    return (raw < 0.0) | (raw > 1.0)
+
+
 class TestDilutionModel:
     def test_stock_curve_spot_values(self):
         """Single-positive pools at the calibration sizes."""
@@ -85,8 +91,8 @@ class TestDilutionModel:
         model = DilutionModel(kit=kit, alpha=0.03, beta=-0.05)
         assert model.raw_sensitivity(30, 1) < 0.0
         assert model.sensitivity(30, 1) == 0.0
-        assert model.is_clamped(30, 1)
-        assert not model.is_clamped(2, 1)
+        assert _clamped(model, 30, 1)
+        assert not _clamped(model, 2, 1)
 
     @pytest.mark.parametrize("exponent, form", [(-1000.0, "k-over-n"), (1000.0, "n-over-k")])
     def test_overflowing_power_clamps(self, exponent, form):
@@ -96,7 +102,7 @@ class TestDilutionModel:
         alpha = _FORM_SIGN[form] * exponent
         model = DilutionModel(kit=DEFAULT_KIT, alpha=alpha, beta=-0.001)
         assert model.raw_sensitivity(10, 1) == math.inf
-        assert model.sensitivity(10, 1) == 1.0 and model.is_clamped(10, 1)
+        assert model.sensitivity(10, 1) == 1.0 and _clamped(model, 10, 1)
         assert model.sensitivity(10, 10) == pytest.approx(0.99 - 0.01)
         below = DilutionModel(kit=TestKit(se_i=0.3, sp=0.3), alpha=alpha)
         assert below.raw_sensitivity(10, 1) == -math.inf
@@ -109,18 +115,18 @@ class TestDilutionModel:
         # -0.4 * 10**1000 against 10**309: the power term wins, Se clamps to 0.
         model = DilutionModel(kit=kit, alpha=-1000.0, beta=1e308)
         assert model.raw_sensitivity(10, 1) == -math.inf
-        assert model.is_clamped(10, 1) and model.sensitivity(10, 1) == 0.0
+        assert _clamped(model, 10, 1) and model.sensitivity(10, 1) == 0.0
         # -0.4 * 10**300 alone does not overflow, so nothing cancels: Se clamps to 1.
         model = DilutionModel(kit=kit, alpha=-300.0, beta=1e308)
         assert model.raw_sensitivity(10, 1) == math.inf
-        assert model.is_clamped(10, 1) and model.sensitivity(10, 1) == 1.0
+        assert _clamped(model, 10, 1) and model.sensitivity(10, 1) == 1.0
         # 0.98 * 10**310 against -1e308 * n: the power term wins at n = 10 and
         # the linear term at n = 10,000, with the same ratio of 0.1.
         model = DilutionModel(kit=DEFAULT_KIT, alpha=-310.0, beta=-1e308)
         assert model.raw_sensitivity(10, 1) == math.inf
         assert model.sensitivity(10, 1) == 1.0
         assert model.raw_sensitivity(10_000, 1_000) == -math.inf
-        assert model.is_clamped(10_000, 1_000) and model.sensitivity(10_000, 1_000) == 0.0
+        assert _clamped(model, 10_000, 1_000) and model.sensitivity(10_000, 1_000) == 0.0
 
     def test_array_rows_settle_each_clash_on_its_own(self):
         """Along one row only some k overflow, and of those the power term wins
@@ -133,7 +139,7 @@ class TestDilutionModel:
         assert np.all(raw[:985] == math.inf) and np.all(raw[985:] == -math.inf)
         for j in (1, 985, 986, 1012, 1013, 10_000):
             assert raw[j - 1] == model.raw_sensitivity(10_000, j), j
-        assert model.is_clamped(10_000, k).all()
+        assert _clamped(model, 10_000, k).all()
         np.testing.assert_array_equal(model.sensitivity(10_000, k), np.where(k <= 985, 1.0, 0.0))
         # Kit 0.3/0.3: -0.4 * (10/k)**1000 overflows for k <= 4 and outweighs
         # 1e308 * 10 = +inf; for k >= 5 it is finite and the linear term wins.
@@ -173,8 +179,8 @@ class TestDilutionModel:
                 np.testing.assert_allclose(row, scalar, rtol=2 * eps, atol=2 * eps)
         grid = np.array([[1, 2], [3, 10]])
         assert model.sensitivity(10, grid).shape == (2, 2)
-        clamped = [[model.is_clamped(10, j) for j in row] for row in grid.tolist()]
-        assert model.is_clamped(10, grid).tolist() == clamped
+        clamped = [[_clamped(model, 10, j) for j in row] for row in grid.tolist()]
+        assert _clamped(model, 10, grid).tolist() == clamped
 
     def test_n_over_k_form_is_the_curve_at_negated_alpha(self):
         """A curve printed with (n/k)^a, written out here as a reference
@@ -202,7 +208,7 @@ class TestDilutionModel:
         """The k range is checked once per call, over the whole array."""
         model = bateman_fit_model()
         k = np.array([1, 2, bad, 5])
-        for method in (model.raw_sensitivity, model.sensitivity, model.is_clamped):
+        for method in (model.raw_sensitivity, model.sensitivity, lambda n, k: _clamped(model, n, k)):
             with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [1, 5], got {bad!r}")):
                 method(5, k)
 
@@ -372,10 +378,14 @@ class TestLoadObservations:
         with pytest.raises(ValueError, match="expected header"):
             load_observations(path)
 
-    def test_rejects_bad_row(self, tmp_path):
+    @pytest.mark.parametrize("text, where", [
+        ("n,k,se\n5,9,0.93\n", "obs.csv:2"),
+        ("n,k,se\n5,1,0.93\n10,1,high\n", "obs.csv:3: could not convert string to float: 'high'"),
+    ])
+    def test_rejects_bad_row(self, tmp_path, text, where):
         path = tmp_path / "obs.csv"
-        path.write_text("n,k,se\n5,9,0.93\n")
-        with pytest.raises(ValueError, match="obs.csv:2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
             load_observations(path)
 
     def test_rejects_empty(self, tmp_path):

@@ -502,6 +502,14 @@ class TestTableRulesReadAsScalarRules:
         (dict(relative_tests=math.inf), None, "relative_tests must be finite and nonnegative, got inf"),
         (dict(relative_fn_increase=-1.5), None, "relative_fn_increase must be >= -1, got -1.5"),
         (dict(relative_fn_increase=math.nan), None, "relative_fn_increase must be >= -1, got nan"),
+        # n and r beyond int64, or NaN, meet the range rule; a ProcedureConfig
+        # takes 1e30 as its whole int and NaN as no integer.
+        (dict(n=1e30), None, "pool size must lie in [1, 10000], got 1e+30"),
+        (dict(n=math.nan), None, "pool size must lie in [1, 10000], got nan"),
+        (dict(n=10**31), _config, f"pool size must lie in [1, 10000], got {10**31}"),
+        (dict(r=1e30), None, "retest count must lie in [1, 100], got 1e+30"),
+        (dict(r=math.nan), None, "retest count must lie in [1, 100], got nan"),
+        (dict(r=10**31), _config, f"retest count must lie in [1, 100], got {10**31}"),
     ])
     def test_table_names_the_row_with_the_scalar_message(self, cells, scalar, message):
         """Rows 0 and 2 pass, row 1 fails one rule; a later row that fails
@@ -516,6 +524,17 @@ class TestTableRulesReadAsScalarRules:
             with pytest.raises(ValueError) as raised:
                 scalar(bad)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("cells", [dict(n=[5.5]), dict(r=[2.5])])
+    def test_n_and_r_must_be_whole(self, cells):
+        """An n or r in range that is not whole passes every rule and fails
+        the integer check; whole values of any type become int64."""
+        columns = {name: [value] for name, value in _VALID_ROW.items()}
+        name = next(iter(cells))
+        with pytest.raises(ValueError, match=f"^{name} must hold integers"):
+            SweepTable(**{**columns, **cells})
+        table = SweepTable(**{**columns, "n": [5.0], "r": np.array([2], dtype=object)})
+        assert table.n.dtype == table.r.dtype == np.int64 and (table.n[0], table.r[0]) == (5, 2)
 
     @pytest.mark.parametrize("stages, message", [
         (dict(e_tests_individual_stage=-0.1), "e_tests_individual_stage must be finite and nonnegative, got -0.1"),
@@ -549,6 +568,16 @@ def four_prevalences_csv(tmp_path_factory):
     return path.read_text().splitlines()
 
 
+@pytest.fixture(scope="module")
+def eight_prevalences_csv(tmp_path_factory):
+    """sweep.csv of a real sweep, 360 rows over two 256-row runs; each
+    prevalence's rows are 45 lines, its individual row the first."""
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    spec = SweepSpec(p_values=(0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2), n_range=(2, 12), r_range=(2, 4))
+    write_sweep_csv(sweep(spec), path)
+    return path.read_text().splitlines()
+
+
 class TestReaderChecksEveryRow:
     """Each check a row must pass, failed by one cell of a row past line 100."""
 
@@ -569,12 +598,38 @@ class TestReaderChecksEveryRow:
         (160, "relative_fn_increase", "nan", "relative_fn_increase must be >= -1"),
     ])
     def test_first_failing_row_is_named(self, four_prevalences_csv, tmp_path, line, column, cell, message):
-        lines = list(four_prevalences_csv)
-        cells = lines[line - 1].split(",")
-        cells[SWEEP_CSV_COLUMNS.index(column)] = cell
-        lines[line - 1] = ",".join(cells)
-        path = tmp_path / "sweep.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path = _edited(tmp_path, four_prevalences_csv, (line, column, cell))
         with pytest.raises(ValueError) as raised:
             read_sweep_csv(path)
         assert str(raised.value).startswith(f"{path}:{line}: {message}"), str(raised.value)
+
+    def test_kind_is_checked_before_the_range_of_n(self, four_prevalences_csv, tmp_path):
+        """Within a row, the table's rules run in their order: kind, then n."""
+        path = _edited(tmp_path, four_prevalences_csv, (160, "kind", "pooled"), (160, "n", "10001"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:160: 'pooled' is not a valid Procedure")):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize("failing, unparsable", [(140, 160), (140, 300), (270, 300)])
+    def test_a_cell_that_does_not_parse_is_named_first(self, eight_prevalences_csv, tmp_path, failing, unparsable):
+        """A row that fails a rule, above a cell that does not parse in the
+        same 256-row run (lines 2-257) or a later one: the cell is named, as
+        the file is read, before any rule runs."""
+        assert len(eight_prevalences_csv) > 300
+        path = _edited(tmp_path, eight_prevalences_csv, (failing, "e_tests", "-0.5"), (unparsable, "n", "2.5"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{unparsable}: invalid literal for int")):
+            read_sweep_csv(path)
+        path = _edited(tmp_path, eight_prevalences_csv, (failing, "e_tests", "-0.5"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{failing}: e_tests must be finite and nonnegative")):
+            read_sweep_csv(path)
+
+
+def _edited(tmp_path, lines, *edits):
+    """sweep.csv under tmp_path: lines with each (line, column, cell) edit made."""
+    lines = list(lines)
+    for line, column, cell in edits:
+        cells = lines[line - 1].split(",")
+        cells[SWEEP_CSV_COLUMNS.index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
