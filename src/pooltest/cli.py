@@ -148,8 +148,8 @@ def _warn_if_blind(model: DilutionModel, sizes) -> None:
     the curve clamps Se(n, k) to 0 for every k: such pools never test positive."""
     blind = []
     for n in sorted(set(sizes)):
-        # Se(n, k) clamps to 0 for every k exactly where the raw curve, never NaN, is below 0.
-        if np.all(model.raw_sensitivity(n, np.arange(1, n + 1)) < 0.0):
+        # Se(n, k) clamps to 0 for every k exactly where the raw curve, never NaN, is at most 0.
+        if np.all(model.raw_sensitivity(n, np.arange(1, n + 1)) <= 0.0):
             blind.append(n)
     if blind:
         where = f"n = {blind[0]}" if len(blind) == 1 else f"{len(blind)} pool sizes from n = {blind[0]} to {blind[-1]}"

@@ -146,10 +146,10 @@ class ProcedureConfig:
     r: int = 1
 
     def __post_init__(self) -> None:
-        # Whole n and r first, as a table's integer columns hold them.
-        values = {"kind": self.kind, "n": check_whole(self.n, "pool size"), "r": check_whole(self.r, "retest count")}
+        # The shape rules, then whole n and r, as over a table; frozen, so set through vars.
+        values = {"kind": self.kind, "n": self.n, "r": self.r}
         check_rows(shape_rules(**values), values)
-        vars(self).update(values, kind=Procedure(self.kind))  # frozen: set through the instance dict
+        vars(self).update(kind=Procedure(self.kind), n=check_whole(self.n, "pool size"), r=check_whole(self.r, "retest count"))
 
 
 @dataclass(frozen=True)

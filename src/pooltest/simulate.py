@@ -9,7 +9,9 @@ every chunk draws from its own PCG64 stream, spawned from the seed's
 SeedSequence at key (chunk_index,). Because chunk streams are independent
 and results are reduced by integer addition, the outcome is identical for
 any thread count. The Se rows and class laws are built in the calling
-thread; worker threads run chunk code only.
+thread before any chunk runs; then the calling thread and threads - 1
+helper threads run chunks from one job list, taking the next job as each
+finishes (next() on a list iterator is atomic under the GIL).
 
 simulate() runs one of two engines, each one chunk function with a fixed
 draw order, over the same chunks and streams.
@@ -287,7 +289,7 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     n = config.procedure.n
     full_pools, remainder = divmod(config.subjects, n)
     pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n)
-    # The laws are built here, in the calling thread; workers run chunks only.
+    # The laws are built here, in the calling thread, before any chunk runs.
     law = _pool_law(config, n)
     jobs = [
         partial(chunk, config, min(pools_per_chunk, full_pools - start), law, ci)
@@ -296,8 +298,12 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     if remainder:
         jobs.append(partial(chunk, config, 1, _pool_law(config, remainder), len(jobs)))
 
+    # The calling thread and threads - 1 helpers drain one job list; a helper's
+    # exception is re-raised by its result(). At one thread no thread starts.
+    todo = iter(jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda job: job(), jobs))
+        helpers = [pool.submit(lambda: [job() for job in todo]) for _ in range(min(threads, len(jobs)) - 1)]
+        parts = [job() for job in todo] + [part for helper in helpers for part in helper.result()]
 
     pool_tests, individual_tests, tp, fp, tn, fn = (sum(column) for column in zip(*parts))
     return SimResult(

@@ -549,6 +549,11 @@ class TestClampWarning:
     GRID = ["--p", "0.01", "--n-min", "787", "--n-max", "790", "--r-min", "1", "--r-max", "1"]
     CASES = {
         "evaluate": (["evaluate", "--kind", "dorfman", "--n", "800", "--p", "0.01"], "n = 800"),
+        # The raw curve is exactly 0 for every k at n = 10, which clamps too.
+        "evaluate-raw-zero": (
+            ["evaluate", "--kind", "dorfman", "--n", "10", "--p", "0.01", "--se-i", "0.5", "--alpha", "0", "--beta", "-0.05"],
+            "n = 10",
+        ),
         # Two full pools of 800 and a short one of 1, which detects.
         "simulate": (
             ["simulate", "--kind", "modified", "--n", "800", "--r", "2", "--p", "0.01", "--subjects", "1601"],

@@ -502,14 +502,16 @@ class TestTableRulesReadAsScalarRules:
         (dict(relative_tests=math.inf), None, "relative_tests must be finite and nonnegative, got inf"),
         (dict(relative_fn_increase=-1.5), None, "relative_fn_increase must be >= -1, got -1.5"),
         (dict(relative_fn_increase=math.nan), None, "relative_fn_increase must be >= -1, got nan"),
-        # n and r beyond int64, or NaN, meet the range rule; a ProcedureConfig
-        # takes 1e30 as its whole int and NaN as no integer.
-        (dict(n=1e30), None, "pool size must lie in [1, 10000], got 1e+30"),
-        (dict(n=math.nan), None, "pool size must lie in [1, 10000], got nan"),
+        # n and r beyond int64, or NaN, meet the range rule before any wholeness check.
+        (dict(n=1e30), _config, "pool size must lie in [1, 10000], got 1e+30"),
+        (dict(n=math.nan), _config, "pool size must lie in [1, 10000], got nan"),
         (dict(n=10**31), _config, f"pool size must lie in [1, 10000], got {10**31}"),
-        (dict(r=1e30), None, "retest count must lie in [1, 100], got 1e+30"),
-        (dict(r=math.nan), None, "retest count must lie in [1, 100], got nan"),
+        (dict(r=1e30), _config, "retest count must lie in [1, 100], got 1e+30"),
+        (dict(r=math.nan), _config, "retest count must lie in [1, 100], got nan"),
         (dict(r=10**31), _config, f"retest count must lie in [1, 100], got {10**31}"),
+        # Two faults: the shape rules run first, so the kind is named, not the fraction.
+        (dict(kind="pooled", n=2.5), _config, "'pooled' is not a valid Procedure"),
+        (dict(kind="dorfman", n=5, r=2.5), _config, "dorfman tests each pool once, got r=2.5"),
     ])
     def test_table_names_the_row_with_the_scalar_message(self, cells, scalar, message):
         """Rows 0 and 2 pass, row 1 fails one rule; a later row that fails

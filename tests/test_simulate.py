@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -122,6 +123,62 @@ class TestDeterminism:
     def test_threads_validation(self):
         with pytest.raises(ValueError, match="threads"):
             simulate(_config(subjects=100), threads=0)
+
+
+class TestScheduler:
+    """The calling thread runs chunks, and threads - 1 helpers drain the same job list."""
+
+    @staticmethod
+    def _no_thread_starts(monkeypatch):
+        def start(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+    def test_a_chunk_that_raises_on_a_helper_is_reraised(self, monkeypatch):
+        """The calling thread holds its chunk until a helper's chunk raises, so
+        a helper runs a chunk past the first whichever chunk each takes first."""
+        caller, raised, chunk = threading.get_ident(), threading.Event(), simulate_module._count_chunk
+
+        def failing(config, pools, law, chunk_index):
+            if threading.get_ident() == caller:
+                assert raised.wait(30), "no helper ran a chunk"
+            elif chunk_index >= 1:
+                raised.set()
+                raise RuntimeError(f"chunk {chunk_index} failed on a helper")
+            return chunk(config, pools, law, chunk_index)
+
+        monkeypatch.setattr(simulate_module, "_count_chunk", failing)
+        with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
+            with pytest.raises(RuntimeError, match="failed on a helper"):
+                simulate(_config(subjects=5 * _SMALL_CHUNKS), threads=2)
+
+    def test_one_thread_runs_every_chunk_on_the_calling_thread(self, monkeypatch):
+        runs, chunk = [], simulate_module._count_chunk
+
+        def recorded(config, pools, law, chunk_index):
+            runs.append((chunk_index, threading.get_ident()))
+            return chunk(config, pools, law, chunk_index)
+
+        monkeypatch.setattr(simulate_module, "_count_chunk", recorded)
+        self._no_thread_starts(monkeypatch)
+        with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
+            # Three full chunks of pools of 10, and a short pool of 7.
+            simulate(_config(subjects=3 * (_SMALL_CHUNKS // 10 * 10) + 7), threads=1)
+        assert runs == [(index, threading.get_ident()) for index in range(4)]
+
+    def test_one_chunk_at_eight_threads_starts_no_helper(self, monkeypatch):
+        config = _config(subjects=1_000)
+        baseline = simulate(config, threads=1)
+        self._no_thread_starts(monkeypatch)
+        assert simulate(config, threads=8) == baseline
+
+    @pytest.mark.parametrize("per_subject", [False, True])
+    def test_engines_agree_across_one_two_and_three_threads(self, per_subject):
+        config = _config(subjects=7 * _SMALL_CHUNKS + 3, p=0.05)
+        with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
+            results = [simulate(config, threads=threads, per_subject=per_subject) for threads in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
 
 
 class TestProcedureSemantics:
