@@ -514,8 +514,8 @@ class TestTableRulesReadAsScalarRules:
         (dict(kind="dorfman", n=5, r=2.5), _config, "dorfman tests each pool once, got r=2.5"),
     ])
     def test_table_names_the_row_with_the_scalar_message(self, cells, scalar, message):
-        """Rows 0 and 2 pass, row 1 fails one rule; a later row that fails
-        another rule does not take its place."""
+        """Rows 0 and 2 pass, row 1 fails one rule (or two, named by the first);
+        a later row that fails another rule does not take its place."""
         bad = {**_VALID_ROW, **cells}
         worse = {**_VALID_ROW, "e_tests": -1.0, "kind": "pooled"}
         columns = {name: [_VALID_ROW[name], bad[name], _VALID_ROW[name], worse[name]] for name in SWEEP_CSV_COLUMNS}
