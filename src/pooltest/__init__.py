@@ -6,88 +6,20 @@ two-stage pooling, and a retest variant that reads a negative pool up to r
 times before releasing it. Pool sensitivity degrades with dilution through
 a fitted two-parameter curve, which is what makes the trade-off between
 test count and missed positives nontrivial.
+
+The public names are those of the __all__ lists of dilution, evaluate,
+pareto and simulate, republished here. The functions evaluate and simulate
+take the names of their modules, which importlib.import_module reaches.
 """
 
 __version__ = "0.1.0"
 
-from .dilution import (
-    BATEMAN_POOL_SENSITIVITIES,
-    DEFAULT_KIT,
-    DilutionModel,
-    FitConvergenceError,
-    FitResult,
-    SensitivityObservation,
-    TestKit,
-    bateman_fit_model,
-    fit_dilution_model,
-    load_observations,
-)
-from .evaluate import (
-    Metrics,
-    Procedure,
-    ProcedureConfig,
-    eval_dorfman,
-    eval_individual,
-    eval_modified,
-    evaluate,
-    posterior_given_negative_pool,
-    posterior_given_positive_pool,
-)
-from .pareto import (
-    DEFAULT_SWEEP_PREVALENCES,
-    FN_INCREASE_CAPS,
-    SweepSpec,
-    SweepTable,
-    fp_summary,
-    min_tests_under_fn_cap,
-    read_sweep_csv,
-    sweep,
-    write_sweep_csv,
-)
-from .simulate import (
-    DESK_SCALE_SUBJECTS,
-    SimConfig,
-    SimResult,
-    VerificationRow,
-    default_verification_configs,
-    simulate,
-    verify_against_analytic,
-)
+from . import dilution, evaluate, pareto, simulate
 
-__all__ = [
-    "__version__",
-    "BATEMAN_POOL_SENSITIVITIES",
-    "DEFAULT_KIT",
-    "DEFAULT_SWEEP_PREVALENCES",
-    "DESK_SCALE_SUBJECTS",
-    "DilutionModel",
-    "FN_INCREASE_CAPS",
-    "FitConvergenceError",
-    "FitResult",
-    "Metrics",
-    "Procedure",
-    "ProcedureConfig",
-    "SensitivityObservation",
-    "SimConfig",
-    "SimResult",
-    "SweepSpec",
-    "SweepTable",
-    "TestKit",
-    "VerificationRow",
-    "bateman_fit_model",
-    "eval_dorfman",
-    "eval_individual",
-    "eval_modified",
-    "evaluate",
-    "fit_dilution_model",
-    "fp_summary",
-    "load_observations",
-    "min_tests_under_fn_cap",
-    "posterior_given_negative_pool",
-    "posterior_given_positive_pool",
-    "read_sweep_csv",
-    "simulate",
-    "sweep",
-    "verify_against_analytic",
-    "write_sweep_csv",
-]
+__all__ = ["__version__", *dilution.__all__, *evaluate.__all__, *pareto.__all__, *simulate.__all__]
+
+# After __all__ is built: these bind the functions evaluate and simulate over the modules.
+from .dilution import *  # noqa: E402, F403
+from .evaluate import *  # noqa: E402, F403
+from .pareto import *  # noqa: E402, F403
+from .simulate import *  # noqa: E402, F403

@@ -146,11 +146,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
 def _warn_if_blind(model: DilutionModel, sizes) -> None:
     """One stderr warning, kept out of every file, for the pool sizes at which
     the curve clamps Se(n, k) to 0 for every k: such pools never test positive."""
-    blind = []
-    for n in sorted(set(sizes)):
-        # Se(n, k) clamps to 0 for every k exactly where the raw curve, never NaN, is at most 0.
-        if np.all(model.raw_sensitivity(n, np.arange(1, n + 1)) <= 0.0):
-            blind.append(n)
+    blind = [n for n in sorted(set(sizes)) if not np.any(model.sensitivity(n, np.arange(1, n + 1)))]
     if blind:
         where = f"n = {blind[0]}" if len(blind) == 1 else f"{len(blind)} pool sizes from n = {blind[0]} to {blind[-1]}"
         print(f"pooltest: warning: the dilution curve clamps Se(n, k) to 0 for every k at {where}; "

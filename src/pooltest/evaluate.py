@@ -44,10 +44,6 @@ __all__ = [
     "Procedure",
     "ProcedureConfig",
     "Metrics",
-    "eval_individual",
-    "eval_dorfman",
-    "eval_modified",
-    "pooled_metrics",
     "evaluate",
     "posterior_given_negative_pool",
     "posterior_given_positive_pool",

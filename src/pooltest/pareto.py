@@ -54,7 +54,6 @@ __all__ = [
     "sweep",
     "min_tests_under_fn_cap",
     "fp_summary",
-    "SWEEP_CSV_COLUMNS",
     "write_sweep_csv",
     "read_sweep_csv",
 ]

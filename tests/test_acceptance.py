@@ -23,8 +23,6 @@ from pooltest import (
     TestKit,
     bateman_fit_model,
     default_verification_configs,
-    eval_dorfman,
-    eval_modified,
     evaluate,
     fit_dilution_model,
     fp_summary,
@@ -33,6 +31,7 @@ from pooltest import (
     sweep,
 )
 from pooltest.cli import main as cli_main
+from pooltest.evaluate import eval_dorfman, eval_modified
 from pooltest.kernels import pool_test_outcome_probs
 
 from _oracles import enumerate_pooled_metrics

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output text, exit codes, artifacts."""
 
 import contextlib
+import importlib
 import io
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pooltest
 import pooltest.cli as cli
 from pooltest import FitConvergenceError, __version__, kernels, read_sweep_csv
 from pooltest.cli import main
@@ -354,6 +356,35 @@ class TestTopLevel:
             flags = [action.option_strings[0] for action in group._group_actions]
             coefficients = [] if name == "fit" else ["--alpha", "--beta"]
             assert flags == ["--se-i", "--sp", *coefficients, "--linear-term"], name
+
+    @staticmethod
+    def _public_names():
+        """__version__, then the __all__ lists of the four republished modules."""
+        names = ["__version__"]
+        for module in ("dilution", "evaluate", "pareto", "simulate"):
+            names += importlib.import_module(f"pooltest.{module}").__all__
+        return names
+
+    def test_all_is_the_module_lists(self):
+        names = self._public_names()
+        assert pooltest.__all__ == names
+        assert len(set(names)) == len(names)
+
+    def test_star_import_binds_the_public_names(self):
+        namespace = {}
+        exec("from pooltest import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(self._public_names())
+
+    def test_functions_shadow_their_modules(self):
+        """pooltest.evaluate and pooltest.simulate are the functions; importlib reaches
+        the modules, where the evaluator variants live."""
+        for name in ("evaluate", "simulate"):
+            module = importlib.import_module(f"pooltest.{name}")
+            assert getattr(pooltest, name) is getattr(module, name)
+        evaluators = importlib.import_module("pooltest.evaluate")
+        for name in ("eval_individual", "eval_dorfman", "eval_modified", "pooled_metrics"):
+            assert callable(getattr(evaluators, name))
+            assert not hasattr(pooltest, name)
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0

@@ -17,14 +17,12 @@ from pooltest import (
     SweepSpec,
     TestKit,
     bateman_fit_model,
-    eval_dorfman,
-    eval_individual,
-    eval_modified,
     evaluate,
     posterior_given_negative_pool,
     posterior_given_positive_pool,
     sweep,
 )
+from pooltest.evaluate import eval_dorfman, eval_individual, eval_modified
 from pooltest.kernels import MAX_POOL_SIZE, MAX_RETESTS, pool_outcomes
 
 from _oracles import enumerate_pooled_metrics, exact_binomial_pmf

@@ -16,7 +16,6 @@ from pooltest import (
     ProcedureConfig,
     SweepSpec,
     SweepTable,
-    eval_individual,
     evaluate,
     bateman_fit_model,
     fp_summary,
@@ -26,7 +25,7 @@ from pooltest import (
     write_sweep_csv,
 )
 from pooltest.csvio import fmt, fmt_column
-from pooltest.evaluate import check_rows, metric_rules
+from pooltest.evaluate import check_rows, eval_individual, metric_rules
 from pooltest.kernels import check_prevalence
 from pooltest.pareto import SWEEP_CSV_COLUMNS, ParetoPoint, _dominated
 
