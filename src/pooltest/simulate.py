@@ -40,6 +40,7 @@ draw order, over the same chunks and streams.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -172,47 +173,69 @@ def _pool_law(config: SimConfig, n: int) -> _PoolLaw:
     )
 
 
-def _rarer(rng: np.random.Generator, q: float, trials: int) -> np.ndarray:
+class _Walks(threading.local):
+    """Each thread's float64 draw buffer for the walks of one simulate() call.
+    A walk overwrites the last, so its positions are valid until that thread's next walk."""
+
+    def __init__(self) -> None:
+        self.draws = np.empty(0)
+
+
+def _rarer(rng: np.random.Generator, q: float, trials: int, walks: _Walks) -> np.ndarray:
     """Sorted positions 1..trials (float64) of the rarer outcome in `trials` Bernoulli(q)
     trials, the successes or for q > 1/2 the misses, at ceil(Exponential / -log1p(-rate))
-    gaps: rng.geometric's draws for rate < 1/3, its law but not its stream in [1/3, 1/2]."""
+    gaps: rng.geometric's draws for rate < 1/3, its law but not its stream in [1/3, 1/2].
+
+    The walk is drawn into walks.draws, a second batch after the first, growing it if
+    needed; the result is a view of it, valid until the next walk into the same buffer,
+    which overwrites it."""
     rate = min(q, 1.0 - q)
     # libm's log1p, as numpy's geometric sampler uses. Capped at trials + 1 (the
     # divide is inf at rate = 5e-324), every gap and sum is a whole number held exactly.
-    scale, walk, end = -math.log1p(-rate), [np.empty(0)], 0.0
+    scale, used, end = -math.log1p(-rate), 0, 0.0
+    batch = int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1
     while rate > 0.0 and end < trials:
-        gaps = rng.standard_exponential(int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1)
+        if walks.draws.size < used + batch:
+            grown = np.empty(used + batch)
+            grown[:used] = walks.draws[:used]
+            walks.draws = grown
+        gaps = walks.draws[used : used + batch]
+        rng.standard_exponential(out=gaps)
         with np.errstate(over="ignore"):
             np.minimum(np.ceil(np.divide(gaps, scale, out=gaps), out=gaps), trials + 1, out=gaps)
         gaps[0] += end
-        walk.append(np.cumsum(gaps, out=gaps))
-        end = gaps[-1]
-    positions = walk[1] if len(walk) == 2 else np.concatenate(walk)
+        end = np.cumsum(gaps, out=gaps)[-1]
+        used += batch
+    positions = walks.draws[:used]
     return positions[: np.searchsorted(positions, trials, "right")]
 
 
-def _count(rng: np.random.Generator, q: float, trials: int) -> int:
+def _count(rng: np.random.Generator, q: float, trials: int, walks: _Walks) -> int:
     """Successes in `trials` Bernoulli(q) trials: the walk's length, or the rest."""
-    rarer = _rarer(rng, q, trials).size
+    rarer = _rarer(rng, q, trials, walks).size
     return trials - rarer if q > 0.5 else rarer
 
 
-def _class_counts(rng: np.random.Generator, q: float, blocks: int, size: int) -> np.ndarray:
+def _class_counts(rng: np.random.Generator, q: float, blocks: int, size: int, walks: _Walks) -> np.ndarray:
     """Entry k: how many of `blocks` runs of `size` consecutive Bernoulli(q)
     trials hold k successes, from the lengths of the walk's stretches per run."""
-    ids = _rarer(rng, q, blocks * size)
+    ids = _rarer(rng, q, blocks * size, walks)
     np.ceil(np.divide(ids, size, out=ids), out=ids)  # each position's run, exact below 2**53
     edge = np.ones(ids.size + 1, dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=edge[1:-1])
-    counts = np.bincount(np.diff(np.flatnonzero(edge)), minlength=size + 1)
+    starts = np.flatnonzero(edge)
+    lengths = np.subtract(starts[1:], starts[:-1], out=starts[:-1])
+    counts = np.bincount(lengths, minlength=size + 1)
     counts[0] = blocks - counts.sum()
     return counts[::-1] if q > 0.5 else counts
 
 
-def _first_successes(rng: np.random.Generator, q: float, blocks: int, size: int) -> tuple[int, int]:
+def _first_successes(rng: np.random.Generator, q: float, blocks: int, size: int, walks: _Walks) -> tuple[int, int]:
     """Of `blocks` runs of `size` consecutive Bernoulli(q) trials, those with a
     success, and the sum of their first success's index in the run."""
-    block, offset = np.divmod(_rarer(rng, q, blocks * size).astype(np.int64) - 1, size)
+    if size == 1:  # Each run is one trial, its own first success at index 0.
+        return _count(rng, q, blocks, walks), 0
+    block, offset = np.divmod(_rarer(rng, q, blocks * size, walks).astype(np.int64) - 1, size)
     start = np.diff(block, prepend=-1) != 0
     if q <= 0.5:
         return int(np.count_nonzero(start)), int(offset[start].sum())
@@ -223,20 +246,20 @@ def _first_successes(rng: np.random.Generator, q: float, blocks: int, size: int)
     return blocks - missed, int(np.count_nonzero(lead)) - size * missed
 
 
-def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int):
+def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int, *, walks: _Walks):
     """Per-subject reference: every status and read of `pools` pools, one chunk, one stream."""
     rng = _chunk_rng(config.seed, chunk_index)
     # No pool stage: every pool goes on to individual reads.
-    total = 0 if law.reads else _count(rng, config.p, pools * law.size)
+    total = 0 if law.reads else _count(rng, config.p, pools * law.size, walks)
     pool_tests, declared, read_positives = (0, 0, 0) if law.reads else (0, pools, total)
     if law.reads:
-        by_count = _class_counts(rng, config.p, pools, law.size)
+        by_count = _class_counts(rng, config.p, pools, law.size, walks)
         total = int(np.arange(law.size + 1) @ by_count)
         # The pools at each drawn count k read as one Bernoulli(read_prob[k])
         # sequence, r trials per pool. Early stop: a declared pool used its first
         # positive read's index + 1 reads, any other all r.
         for k in np.flatnonzero(by_count):
-            hit, first = _first_successes(rng, law.read_prob[k], int(by_count[k]), law.reads)
+            hit, first = _first_successes(rng, law.read_prob[k], int(by_count[k]), law.reads, walks)
             pool_tests += first + hit + law.reads * (int(by_count[k]) - hit)
             declared, read_positives = declared + hit, read_positives + int(k) * hit
 
@@ -244,8 +267,8 @@ def _subject_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: in
     # One individual read per subject of a declared positive pool; a subject is
     # classified positive when its own read comes back positive.
     read = law.size * declared
-    tp = _count(rng, kit.se_i, read_positives)
-    fp = _count(rng, 1.0 - kit.sp, read - read_positives)
+    tp = _count(rng, kit.se_i, read_positives, walks)
+    fp = _count(rng, 1.0 - kit.sp, read - read_positives, walks)
     return pool_tests, read, tp, fp, pools * law.size - total - fp, total - tp
 
 
@@ -283,7 +306,8 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
     threads = int(threads)
-    chunk = _subject_chunk if per_subject else _count_chunk
+    # Each thread's walks reuse one buffer, dropped with the job list on return.
+    chunk = partial(_subject_chunk, walks=_Walks()) if per_subject else _count_chunk
 
     # Individual testing is pools of one, whose remainder is always empty.
     n = config.procedure.n

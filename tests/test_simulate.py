@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +33,7 @@ from pooltest import (
 
 # The package exports the simulate function under the submodule's name.
 simulate_module = importlib.import_module("pooltest.simulate")
+_Walks = simulate_module._Walks
 
 
 def _config(kind=Procedure.MODIFIED, n=10, r=3, subjects=100_000, seed=11, p=0.01, model=None):
@@ -322,9 +324,9 @@ class TestReferenceEngineDraws:
     def test_certain_or_empty_runs_draw_nothing(self, q, blocks, size):
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        counts = simulate_module._class_counts(rng, q, blocks, size)
+        counts = simulate_module._class_counts(rng, q, blocks, size, _Walks())
         assert counts.tolist() == np.bincount([int(q * size)] * blocks, minlength=size + 1).tolist()
-        assert simulate_module._count(rng, q, blocks * size) == int(q * size) * blocks
+        assert simulate_module._count(rng, q, blocks * size, _Walks()) == int(q * size) * blocks
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("q", [1e-4, 0.3, 0.34, 0.45, 0.5, 0.55, 0.66, 0.7, 0.9999])
@@ -332,7 +334,7 @@ class TestReferenceEngineDraws:
         """100,000 blocks of 10 trials: the mean count, and the shares of empty
         and of full blocks, within 5 standard errors of Binomial(10, q)."""
         blocks, size = 100_000, 10
-        counts = simulate_module._class_counts(np.random.default_rng(8), q, blocks, size)
+        counts = simulate_module._class_counts(np.random.default_rng(8), q, blocks, size, _Walks())
         assert counts.shape == (size + 1,) and counts.min() >= 0 and counts.sum() == blocks
         assert abs(np.arange(size + 1) @ counts / blocks - size * q) <= 5 * math.sqrt(size * q * (1 - q) / blocks)
         for k, share in ((0, (1 - q) ** size), (size, q**size)):
@@ -350,13 +352,13 @@ class TestReferenceEngineDraws:
             end = walk[-1][-1]
         positions = np.concatenate(walk)
         expected = positions[positions <= trials]
-        assert simulate_module._rarer(np.random.default_rng(12), q, trials).tolist() == expected.tolist()
+        assert simulate_module._rarer(np.random.default_rng(12), q, trials, _Walks()).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("q, blocks, expected", [(0.0, 5, (0, 0)), (1.0, 5, (5, 0)), (0.3, 0, (0, 0)), (0.9, 0, (0, 0))])
     def test_first_success_of_certain_or_empty_runs_draws_nothing(self, q, blocks, expected):
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        assert simulate_module._first_successes(rng, q, blocks, 3) == expected
+        assert simulate_module._first_successes(rng, q, blocks, 3, _Walks()) == expected
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("size", [1, 3])
@@ -366,7 +368,7 @@ class TestReferenceEngineDraws:
         1 - (1 - q)**size, and the mean index of their first success within 5
         standard errors of the geometric law's mean truncated at size."""
         blocks = 100_000
-        hit, first = simulate_module._first_successes(np.random.default_rng(9), q, blocks, size)
+        hit, first = simulate_module._first_successes(np.random.default_rng(9), q, blocks, size, _Walks())
         share = 1 - (1 - q) ** size
         assert abs(hit / blocks - share) <= 5 * math.sqrt(share * (1 - share) / blocks) + 1e-12
         index = np.arange(size)
@@ -381,17 +383,20 @@ class TestReferenceEngineDraws:
 
         class Gaps:
             def __init__(self):
-                self.draws, self.given = [np.array([1e-300]), np.array([1e300])], []
+                self.draws, self.given = [1e-300, 1e300], []
 
-            def standard_exponential(self, size):
-                self.given.append(self.draws.pop(0))  # a third draw is an IndexError
-                return self.given[-1]
+            def standard_exponential(self, *, out):
+                out[...] = self.draws.pop(0)  # a third draw is an IndexError
+                self.given.append(out)
 
-        gaps = Gaps()
-        assert simulate_module._class_counts(gaps, 1e-300, 4, 5).tolist() == [3, 1, 0, 0, 0, 0]
-        # The walk divides, caps and sums each draw in place.
+        gaps, walks = Gaps(), _Walks()
+        assert simulate_module._class_counts(gaps, 1e-300, 4, 5, walks).tolist() == [3, 1, 0, 0, 0, 0]
+        # The walk divides, caps and sums each draw in place, and the second batch
+        # goes after the first in the grown buffer, where the position 1 is now its
+        # run, ceil(1 / 5).
         assert [draw.tolist() for draw in gaps.given] == [[1.0], [22.0]]
-        assert simulate_module._first_successes(Gaps(), 1e-300, 4, 5) == (1, 0)
+        assert walks.draws.tolist() == [1.0, 22.0]
+        assert simulate_module._first_successes(Gaps(), 1e-300, 4, 5, _Walks()) == (1, 0)
 
     def test_extreme_prevalences_end_with_exact_counts(self):
         """At p = 5e-324 rng.geometric gives 2**63 - 1, whose running sum
@@ -466,6 +471,55 @@ class TestReferenceEngineDraws:
             ):
                 bound = 4 * math.sqrt(span * expected / config.subjects)
                 assert abs(observed - expected) <= bound, (config, result)
+
+
+class TestWalkBuffer:
+    """Each thread's walks in one simulate() call are drawn into one reused
+    buffer; nothing of a walk is seen after the next, or after the call."""
+
+    def test_results_do_not_depend_on_the_runs_before(self):
+        """verify's nine configs at 1M subjects, at 1 and 2 threads, forward and
+        then in reverse: every run equals that config run alone."""
+        configs = default_verification_configs(bateman_fit_model(), subjects=1_000_000)
+        alone = {config: simulate(config, per_subject=True) for config in configs}
+        for order in (configs, configs[::-1]):
+            for threads in (1, 2):
+                for config in order:
+                    assert simulate(config, threads=threads, per_subject=True) == alone[config], (config, threads)
+
+    def test_a_short_walk_after_a_long_one_holds_only_its_own_positions(self):
+        walks = _Walks()
+        # The long walk's positions 2, 4, ... fill the buffer past the short walk's draws.
+        long = simulate_module._rarer(np.random.default_rng(3), 0.5, 100_000, walks)
+        assert long.size > 40_000 and walks.draws.size >= long.size
+        short = simulate_module._rarer(np.random.default_rng(5), 0.01, 1_000, walks)
+        fresh = simulate_module._rarer(np.random.default_rng(5), 0.01, 1_000, _Walks())
+        assert short.tolist() == fresh.tolist()
+        assert 0 < short.size < 50
+
+    @pytest.mark.parametrize("q", [0.0, 1e-4, 0.3, 0.7, 0.9999, 1.0])
+    def test_first_successes_of_single_trials_are_the_count(self, q):
+        """Runs of one trial: each success is its run's first, at index 0, on
+        the same draws as counting the successes."""
+        rng, rng2, blocks = np.random.default_rng(21), np.random.default_rng(21), 50_000
+        count = simulate_module._count(rng2, q, blocks, _Walks())
+        assert simulate_module._first_successes(rng, q, blocks, 1, _Walks()) == (count, 0)
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_buffer_outlives_the_call(self, threads):
+        """Individual testing at p = 0.5 walks about 2**19 positions per chunk
+        of 2**20 subjects, 4 MB of float64 per thread."""
+        config = _config(kind=Procedure.INDIVIDUAL, subjects=2 << 20, p=0.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate(config, threads=threads, per_subject=True)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before > 4e6
+        assert after - before < 1 << 20
 
 
 class TestVerification:
