@@ -196,9 +196,7 @@ def _rarer(rng: np.random.Generator, q: float, trials: int, walks: _Walks) -> np
     batch = int(trials * rate + 4.0 * (trials * rate) ** 0.5) + 1
     while rate > 0.0 and end < trials:
         if walks.draws.size < used + batch:
-            grown = np.empty(used + batch)
-            grown[:used] = walks.draws[:used]
-            walks.draws = grown
+            walks.draws = np.concatenate((walks.draws[:used], np.empty(batch)))
         gaps = walks.draws[used : used + batch]
         rng.standard_exponential(out=gaps)
         with np.errstate(over="ignore"):
