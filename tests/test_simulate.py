@@ -489,7 +489,7 @@ class TestWalkBuffer:
 
     def test_a_short_walk_after_a_long_one_holds_only_its_own_positions(self):
         walks = _Walks()
-        # The long walk's positions 2, 4, ... fill the buffer past the short walk's draws.
+        # The long walk's 50,000-odd positions fill the buffer far past the short walk's draws.
         long = simulate_module._rarer(np.random.default_rng(3), 0.5, 100_000, walks)
         assert long.size > 40_000 and walks.draws.size >= long.size
         short = simulate_module._rarer(np.random.default_rng(5), 0.01, 1_000, walks)
