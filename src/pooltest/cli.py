@@ -45,11 +45,12 @@ from .evaluate import (
     posterior_given_negative_pool,
     posterior_given_positive_pool,
 )
-from .kernels import pool_outcomes
+from .kernels import PoolOutcomes, pool_outcomes, sensitivity_row
 from .pareto import (
     DEFAULT_SWEEP_PREVALENCES,
     FN_INCREASE_CAPS,
     SweepSpec,
+    SweepTable,
     fp_summary,
     min_tests_under_fn_cap,
     read_sweep_csv,
@@ -131,22 +132,35 @@ def _model_from_args(args: argparse.Namespace) -> DilutionModel:
     )
 
 
-def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    """The grid to sweep, after a warning if some of its pool sizes never detect."""
+def _sweep_from_args(args: argparse.Namespace) -> tuple[SweepSpec, SweepTable]:
+    """The grid to sweep and its table, after a warning if some of its pool
+    sizes never detect, read from the one kernel result the sweep uses."""
     spec = SweepSpec(
         p_values=tuple(args.p) if args.p else DEFAULT_SWEEP_PREVALENCES,
         n_range=(args.n_min, args.n_max),
         r_range=(args.r_min, args.r_max),
         model=_model_from_args(args),
     )
-    _warn_if_blind(spec.model, range(spec.n_range[0], spec.n_range[1] + 1))
-    return spec
+    outcomes = spec.outcomes()
+    _warn_blind(_blind_sizes(outcomes))
+    return spec, sweep(spec, outcomes)
+
+
+def _blind_sizes(outcomes: PoolOutcomes) -> list[int]:
+    """The pool sizes that outcomes flags blind; the flag is the same at every p."""
+    sizes = np.ravel(outcomes.n)
+    return sizes[np.reshape(outcomes.blind, (-1, sizes.size))[0]].tolist()
 
 
 def _warn_if_blind(model: DilutionModel, sizes) -> None:
-    """One stderr warning, kept out of every file, for the pool sizes at which
-    the curve clamps Se(n, k) to 0 for every k: such pools never test positive."""
-    blind = [n for n in sorted(set(sizes)) if not np.any(model.sensitivity(n, np.arange(1, n + 1)))]
+    """_warn_blind for pool sizes that no kernel result covers."""
+    _warn_blind([n for n in sorted(set(sizes)) if sensitivity_row(model, n)[1]])
+
+
+def _warn_blind(blind: list[int]) -> None:
+    """One stderr warning, kept out of every file, for the pool sizes, in
+    increasing order, at which the curve clamps Se(n, k) to 0 for every k:
+    such pools never test positive."""
     if blind:
         where = f"n = {blind[0]}" if len(blind) == 1 else f"{len(blind)} pool sizes from n = {blind[0]} to {blind[-1]}"
         print(f"pooltest: warning: the dilution curve clamps Se(n, k) to 0 for every k at {where}; "
@@ -210,10 +224,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     config = ProcedureConfig(kind=Procedure(args.kind), n=args.n, r=args.r)
     pooled = config.kind is not Procedure.INDIVIDUAL
-    if pooled:
-        _warn_if_blind(model, [config.n])
-    # One kernel call serves the metrics and both posteriors.
+    # One kernel call serves the warning, the metrics and both posteriors.
     outcomes = pool_outcomes(model, config.n, args.p, model.kit.sp, config.r) if pooled else None
+    if pooled:
+        _warn_blind(_blind_sizes(outcomes))
     metrics = evaluate(model, args.p, config, outcomes)
     pairs = list(asdict(metrics).items())
     if pooled:
@@ -242,8 +256,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    table = sweep(spec)
+    spec, table = _sweep_from_args(args)
     with _Artifacts(args.out) as artifacts:
         write_sweep_csv(table, artifacts.path("sweep.csv"))
         _write_record(artifacts, args, _record_pairs(args, p_values=spec.p_values))
@@ -288,7 +301,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    table = read_sweep_csv(args.sweep_csv) if args.sweep_csv else sweep(_spec_from_args(args))
+    table = read_sweep_csv(args.sweep_csv) if args.sweep_csv else _sweep_from_args(args)[1]
 
     p_values = sorted(set(table.p.tolist()))
     cap_rows, fp_rows = [], []

@@ -20,6 +20,7 @@ subject-level error rates into sums over the reduced pmf row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,12 +102,29 @@ def finite_nonnegative(name: str, value) -> tuple:
     return (value != value) | (value < 0.0) | (value == math.inf), f"{name} must be finite and nonnegative, got {{{name}!r}}".format
 
 
+def _reals(value) -> tuple:
+    """(value with 0 wherever it holds no real number, where it holds none),
+    for a scalar or a column: the shape rules' comparisons raise TypeError on
+    a str or None, and the rule on the mask comes first."""
+    array = np.asarray(value)
+    if array.dtype.kind in "biuf":
+        return value, np.zeros(array.shape, dtype=bool)
+    cells = array.astype(object)
+    unreal = np.array([not isinstance(cell, numbers.Real) for cell in cells.ravel().tolist()], dtype=bool).reshape(array.shape)
+    reals = np.where(unreal, 0, cells)
+    return (reals.item() if reals.ndim == 0 else reals), unreal
+
+
 def shape_rules(kind, n, r) -> list[tuple]:
-    """The rules on a procedure's shape (kind, n, r); none checks that n and r are whole."""
+    """The rules on a procedure's shape (kind, n, r); none checks that n and r
+    are whole, but one names an n or r that is no number at all."""
     individual, dorfman, modified = kind == "individual", kind == "dorfman", kind == "modified"
+    (n, unreal_n), (r, unreal_r) = _reals(n), _reals(r)
     return [
         ((kind != "individual") & (kind != "dorfman") & (kind != "modified"), "{kind!r} is not a valid Procedure".format),
+        (unreal_n, "pool size must be an integer, got {n!r}".format),
         ((n != n) | (n < 1) | (n > MAX_POOL_SIZE), f"pool size must lie in [1, {MAX_POOL_SIZE}], got {{n}}".format),
+        (unreal_r, "retest count must be an integer, got {r!r}".format),
         ((r != r) | (r < 1) | (r > MAX_RETESTS), f"retest count must lie in [1, {MAX_RETESTS}], got {{r}}".format),
         (individual & ((n != 1) | (r != 1)), "individual testing requires n = r = 1, got n={n}, r={r}".format),
         (dorfman & (n < 2), "dorfman requires pool size n >= 2, got n={n}".format),

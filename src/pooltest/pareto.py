@@ -44,7 +44,7 @@ from .evaluate import (
 # Not called here, but bound under this module too: the benchmark's tracer
 # wraps these names where the sweep used to look them up.
 from .evaluate import eval_dorfman, eval_modified  # noqa: F401
-from .kernels import check_pool_size, check_prevalence, check_retest_count, pool_outcomes
+from .kernels import PoolOutcomes, check_pool_size, check_prevalence, check_retest_count, pool_outcomes
 
 __all__ = [
     "DEFAULT_SWEEP_PREVALENCES",
@@ -90,6 +90,12 @@ class SweepSpec:
             if lo > hi:
                 raise ValueError(f"{name} must satisfy lo <= hi, got {getattr(self, name)!r}")
             object.__setattr__(self, name, (lo, hi))
+
+    def outcomes(self) -> PoolOutcomes:
+        """The one kernel result a sweep of this spec reads: every prevalence,
+        every pool size, and read budgets up to the largest."""
+        sizes = tuple(range(self.n_range[0], self.n_range[1] + 1))
+        return pool_outcomes(self.model, sizes, self.p_values, self.model.kit.sp, self.r_range[1])
 
 
 class ParetoPoint(NamedTuple):
@@ -139,7 +145,7 @@ class SweepTable:
     dominated_joint: np.ndarray
 
     def __post_init__(self) -> None:
-        vars(self).update((name, np.asarray(column, dtype=_DTYPES.get(name, float))) for name, column in self._columns().items())
+        vars(self).update((name, _column(name, values)) for name, values in self._columns().items())
         if len({column.shape for column in self._columns().values()}) != 1 or self.p.ndim != 1:
             raise ValueError("table columns must be one-dimensional and of one length")
         p, rel_fn = self.p, self.relative_fn_increase
@@ -181,8 +187,18 @@ class SweepTable:
         return all(np.array_equal(mine, theirs) for mine, theirs in zip(self._columns().values(), other._columns().values()))
 
 
-# n and r stay as numpy reads them until the rules have run: a 31-digit int is no overflow.
-_DTYPES = {"kind": str, "n": None, "r": None, "dominated": bool, "dominated_joint": bool}
+_DTYPES = {"kind": str, "dominated": bool, "dominated_joint": bool}
+
+
+def _column(name: str, values) -> np.ndarray:
+    """values as the table's column name, before its rules run. n and r stay
+    as numpy reads them, so a 31-digit int is no overflow, or as objects when
+    numpy reads no numbers, so that a str or None among ints stays one."""
+    if name not in ("n", "r"):
+        return np.asarray(values, dtype=_DTYPES.get(name, float))
+    column = np.asarray(values)
+    return column if column.dtype.kind in "biufO" else np.asarray(values, dtype=object)
+
 
 SWEEP_CSV_COLUMNS = [f.name for f in fields(SweepTable)]
 
@@ -218,20 +234,26 @@ def _dominated(group: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.n
     return dominated
 
 
-def sweep(spec: SweepSpec) -> SweepTable:
+def sweep(spec: SweepSpec, outcomes: PoolOutcomes | None = None) -> SweepTable:
     """Evaluate the full grid, flag dominance, and return the points as one table.
 
     Rows are ordered by prevalence, then individual / dorfman / modified, then
     n, then r, so repeated runs and persisted CSVs line up row for row.
+    outcomes, when given, is spec.outcomes(), so that a caller can read its
+    blind flags without a second kernel pass; when None, the sweep builds it.
     """
-    n_lo, n_hi = spec.n_range
     r_lo, r_hi = spec.r_range
     model = spec.model
-    sizes = np.arange(n_lo, n_hi + 1)
+    sizes = np.arange(spec.n_range[0], spec.n_range[1] + 1)
     budgets = np.arange(r_lo, r_hi + 1)
     # One kernel pass serves every prevalence, pool size and read budget, and
     # the metric arrays come in one pass over it; entry r = 1 is dorfman.
-    outcomes = pool_outcomes(model, tuple(sizes.tolist()), spec.p_values, model.kit.sp, r_hi)
+    if outcomes is None:
+        outcomes = spec.outcomes()
+    elif (outcomes.model, outcomes.n, outcomes.p, outcomes.sp, outcomes.extra_reads.shape[-1]) != (
+        model, tuple(sizes.tolist()), spec.p_values, model.kit.sp, r_hi + 1
+    ):
+        raise ValueError("pool outcomes do not cover the sweep's grid")
     order = np.argsort(spec.p_values)
     p = np.array(spec.p_values)[order]
     baselines = [eval_individual(model.kit, value) for value in p.tolist()]

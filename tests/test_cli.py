@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pooltest
 import pooltest.cli as cli
-from pooltest import FitConvergenceError, __version__, kernels, read_sweep_csv
+from pooltest import DilutionModel, FitConvergenceError, __version__, kernels, read_sweep_csv
 from pooltest.cli import main
 from pooltest.kernels import binomial_pmf_row as pmf_row
 
@@ -616,6 +616,26 @@ class TestClampWarning:
     def test_persisted_sweep_is_not_checked_again(self, tmp_path):
         assert _run(["sweep", *self.GRID, "--out", str(tmp_path)])[0] == 0
         assert _run(["tables", "--sweep-csv", str(tmp_path / "sweep.csv"), "--out", str(tmp_path)])[::2] == (0, "")
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["sweep"], list(range(2, 51))),
+        (["tables"], list(range(2, 51))),
+        (["sweep", *GRID], [787, 788, 789, 790]),
+        (["evaluate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.01"], [10]),
+        (CASES["evaluate"][0], [800]),
+    ])
+    def test_the_kernels_se_rows_serve_the_warning(self, tmp_path, monkeypatch, argv, sizes):
+        """One Se row per pool size, the kernel's, and no second one for the
+        warning: the default sweep asks the curve 49 times, not 98. The
+        sweep's mates' rows are Pascal steps from one binomial_pmf_row call,
+        made through the module's name."""
+        se_rows, pmf_rows = [], []
+        sensitivity = DilutionModel.sensitivity
+        monkeypatch.setattr(DilutionModel, "sensitivity", lambda self, n, k: se_rows.append(n) or sensitivity(self, n, k))
+        monkeypatch.setattr(kernels, "binomial_pmf_row", lambda n, p: pmf_rows.append(n) or pmf_row(n, p))
+        assert _run([*argv, "--out", str(tmp_path / "out")])[0] == 0
+        assert se_rows == sizes
+        assert pmf_rows == [sizes[0] - 1]
 
 
 _DOMAIN = settings(

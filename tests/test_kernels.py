@@ -9,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pooltest import ProcedureConfig, bateman_fit_model, evaluate
+from pooltest import DilutionModel, ProcedureConfig, TestKit, bateman_fit_model, evaluate
 from pooltest.kernels import (
+    MAX_POOL_SIZE,
+    PASCAL_RUN,
     PoolOutcomes,
+    _mates_rows,
     binomial_pmf_row,
     check_pool_size,
     check_prevalence,
@@ -403,6 +406,58 @@ class TestPoolOutcomes:
                         getattr(grid, name)[i, j], getattr(single, name),
                         rtol=1e-13, atol=0, err_msg=f"{name} at n={n}, p={p}",
                     )
+
+    @pytest.mark.parametrize("p", [0.001, 0.3])
+    def test_stepped_rows_stay_within_1e12_of_the_exact_pmf(self, p):
+        """Over the longest run the kernel steps, one binomial_pmf_row and then
+        PASCAL_RUN Pascal steps, at the start of the domain and at its end
+        (n = 10,000), the mates' rows keep every entry of at least 1e-290
+        within 1e-12 relative of the exact pmf; the next size restarts from
+        binomial_pmf_row, bit for bit."""
+        checked = (1, PASCAL_RUN // 2, PASCAL_RUN)
+        for first in (2, MAX_POOL_SIZE - PASCAL_RUN - 1):
+            sizes = list(range(first, first + PASCAL_RUN + 2))
+            for at, row in enumerate(_mates_rows(sizes, np.array([p]))):
+                mates = sizes[at] - 1
+                if at in (0, PASCAL_RUN + 1):
+                    np.testing.assert_array_equal(row, binomial_pmf_row(mates, np.array([p])))
+                elif at in checked:
+                    ks, exact = _exact_entries(mates, p)
+                    kept = exact >= 1e-290
+                    np.testing.assert_allclose(row[0, ks][kept], exact[kept], rtol=1e-12, atol=0, err_msg=f"m={mates}")
+
+    def test_consecutive_sizes_match_per_size_calls(self):
+        """A grid of runs of consecutive sizes agrees with one call per size to
+        1e-12, and bit for bit at the first size of each run, where both take
+        binomial_pmf_row."""
+        model = bateman_fit_model()
+        runs = (range(2, 60), range(780, 795), range(100, 103))
+        sizes = [n for run in runs for n in run]
+        firsts = {run[0] for run in runs}
+        prevalences = [1e-12, 0.001, 0.3, 1.0 - 1e-12]
+        grid = pool_outcomes(model, sizes, prevalences, model.kit.sp, 10)
+        for j, n in enumerate(sizes):
+            single = pool_outcomes(model, [n], prevalences, model.kit.sp, 10)
+            for name in PoolOutcomes._fields[4:]:
+                got, want = getattr(grid, name)[:, j], getattr(single, name)[:, 0]
+                if n in firsts:
+                    np.testing.assert_array_equal(got, want, err_msg=f"{name} at n={n}")
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"{name} at n={n}")
+
+    def test_blind_flag_is_read_from_the_se_row(self):
+        """blind holds where every clamped Se(n, k) is 0, and only there. At
+        n = 700 and p = 1e-12 under the Bateman preset the missed share is 1
+        from underflow, yet Se(700, k) > 0 for some k; n = 789 is blind. A raw
+        curve of exactly 0 at n = 10 clamps to a blind size too."""
+        model = bateman_fit_model()
+        out = pool_outcomes(model, [700, 789], [1e-12, 0.01], model.kit.sp, 1)
+        assert (out.missed_share[0, :, 1] == 1.0).all()
+        assert out.blind.tolist() == [[False, True], [False, True]]
+        flat = DilutionModel(kit=TestKit(se_i=0.5, sp=0.99), alpha=0.0, beta=-0.05)
+        assert pool_outcomes(flat, 10, 0.01, 0.99, 1).blind.shape == ()
+        assert pool_outcomes(flat, 10, 0.01, 0.99, 1).blind
+        assert not pool_outcomes(flat, 9, 0.01, 0.99, 1).blind
 
     def test_axes_follow_the_shapes_of_n_and_p(self):
         model = bateman_fit_model()

@@ -16,6 +16,7 @@ from pooltest import (
     ProcedureConfig,
     SweepSpec,
     SweepTable,
+    TestKit,
     evaluate,
     bateman_fit_model,
     fp_summary,
@@ -153,6 +154,22 @@ class TestSweep:
     def test_deterministic(self, small_sweep):
         again = sweep(SweepSpec(p_values=(0.01,), n_range=(2, 12), r_range=(2, 4)))
         assert again == small_sweep
+
+    def test_reads_the_kernel_result_it_is_given(self, small_sweep):
+        """A caller that built spec.outcomes() for its blind flags passes it
+        on; outcomes of another grid or model are refused."""
+        spec = SweepSpec(p_values=(0.01,), n_range=(2, 12), r_range=(2, 4))
+        outcomes = spec.outcomes()
+        assert outcomes.blind.shape == (1, 11) and not outcomes.blind.any()
+        assert sweep(spec, outcomes) == small_sweep
+        for other in (
+            SweepSpec(p_values=(0.02,), n_range=(2, 12), r_range=(2, 4)),
+            SweepSpec(p_values=(0.01,), n_range=(2, 13), r_range=(2, 4)),
+            SweepSpec(p_values=(0.01,), n_range=(2, 12), r_range=(2, 5)),
+            SweepSpec(p_values=(0.01,), n_range=(2, 12), r_range=(2, 4), model=bateman_fit_model(TestKit(se_i=0.99, sp=0.98))),
+        ):
+            with pytest.raises(ValueError, match="do not cover the sweep's grid"):
+                sweep(spec, other.outcomes())
 
     def test_family_flags_match_brute_force(self, small_sweep):
         for kind in Procedure:
@@ -508,6 +525,12 @@ class TestTableRulesReadAsScalarRules:
         (dict(r=1e30), _config, "retest count must lie in [1, 100], got 1e+30"),
         (dict(r=math.nan), _config, "retest count must lie in [1, 100], got nan"),
         (dict(r=10**31), _config, f"retest count must lie in [1, 100], got {10**31}"),
+        # An n or r that is no number is a ValueError, never a TypeError from a comparison.
+        (dict(n="5"), _config, "pool size must be an integer, got '5'"),
+        (dict(n=None), _config, "pool size must be an integer, got None"),
+        (dict(r="2"), _config, "retest count must be an integer, got '2'"),
+        (dict(r=None), _config, "retest count must be an integer, got None"),
+        (dict(n="5", r=101), _config, "pool size must be an integer, got '5'"),
         # Two faults: the shape rules run first, so the kind is named, not the fraction.
         (dict(kind="pooled", n=2.5), _config, "'pooled' is not a valid Procedure"),
         (dict(kind="dorfman", n=5, r=2.5), _config, "dorfman tests each pool once, got r=2.5"),
