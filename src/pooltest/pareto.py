@@ -242,9 +242,10 @@ def sweep(spec: SweepSpec, outcomes: PoolOutcomes | None = None) -> SweepTable:
     outcomes, when given, is spec.outcomes(), so that a caller can read its
     blind flags without a second kernel pass; when None, the sweep builds it.
     """
+    n_lo, n_hi = spec.n_range
     r_lo, r_hi = spec.r_range
     model = spec.model
-    sizes = np.arange(spec.n_range[0], spec.n_range[1] + 1)
+    sizes = np.arange(n_lo, n_hi + 1)
     budgets = np.arange(r_lo, r_hi + 1)
     # One kernel pass serves every prevalence, pool size and read budget, and
     # the metric arrays come in one pass over it; entry r = 1 is dorfman.
