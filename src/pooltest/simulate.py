@@ -4,17 +4,20 @@ Subjects are grouped into consecutive pools of n; the leftover subjects at
 the end form one final short pool of their actual size, with sensitivity
 evaluated at that size. Individual testing runs as pools of one read zero
 times, so every pool goes on to individual reads and every procedure has
-the same layout. Work is split into fixed-size chunks of whole pools, and
-every chunk draws from its own PCG64 stream, spawned from the seed's
-SeedSequence at key (chunk_index,). Because chunk streams are independent
-and results are reduced by integer addition, the outcome is identical for
-any thread count. The Se rows and class laws are built in the calling
-thread before any chunk runs; then the calling thread and threads - 1
-helper threads run chunks from one job list, taking the next job as each
-finishes (next() on a list iterator is atomic under the GIL).
+the same layout. Work is split into chunks of whole pools, and every chunk
+draws from its own PCG64 stream, spawned from the seed's SeedSequence at key
+(chunk_index,). Because chunk streams are independent and results are
+reduced by exact integer addition, the outcome is identical for any thread
+count. The Se rows and class laws are built in the calling thread before
+any chunk runs; then the calling thread and threads - 1 helper threads run
+chunks from one job list, taking the next job as each finishes (next() on a
+list iterator is atomic under the GIL).
 
 simulate() runs one of two engines, each one chunk function with a fixed
-draw order, over the same chunks and streams.
+draw order. Only the per-subject engine cuts the full pools into chunks of
+about 2**20 subjects; the count engine draws them all as chunk 0, whose cost
+does not grow with their number. The short final pool, if any, is the
+last chunk of either.
 
 - The count engine, the default, draws by positive-count class and holds
   no per-pool arrays: the pools at each count k ~ Multinomial(pools, the
@@ -23,7 +26,10 @@ draw order, over the same chunks and streams.
   geometric law of the miss chance 1 - Se(n, k) truncated at r); then
   TP ~ Binomial(sum of k over pools declared positive, Se_I) and
   FP ~ Binomial(sum of n - k over them, 1 - Sp). FN is the chunk's
-  positives less TP, and TN the rest.
+  positives less TP, and TN the rest. Sums of independent multinomials and
+  binomials are again multinomial and binomial, so one chunk has the law of
+  many. Every count is at most subjects < 2**63 except the pool reads, up to
+  r per pool, which are summed in Python ints.
 - The per-subject engine (per_subject=True), the reference that verify
   runs, draws subject statuses, then r pool reads per pool, all consumed
   whether or not early stopping needed them, then one individual read per
@@ -64,11 +70,13 @@ __all__ = [
 
 DESK_SCALE_SUBJECTS = 10_000_000
 
-# Full chunks cover about 2**20 subjects regardless of pool size, keeping the
-# per-chunk working set near a few megabytes.
+# The per-subject engine's full chunks cover about 2**20 subjects regardless of
+# pool size, keeping its per-chunk working set near a few megabytes.
 _CHUNK_SUBJECT_TARGET = 1 << 20
 
 _MAX_SEED = 2**64
+# Every count but the pool reads is at most subjects, so none wraps in int64.
+_MAX_SUBJECTS = 2**63
 
 
 @dataclass(frozen=True)
@@ -82,8 +90,8 @@ class SimConfig:
     p: float
 
     def __post_init__(self) -> None:
-        if not is_whole(self.subjects) or int(self.subjects) < 1:
-            raise ValueError(f"subjects must be a positive integer, got {self.subjects!r}")
+        if not is_whole(self.subjects) or not 1 <= int(self.subjects) < _MAX_SUBJECTS:
+            raise ValueError(f"subjects must be a positive integer below 2**63, got {self.subjects!r}")
         object.__setattr__(self, "subjects", int(self.subjects))
         if not is_whole(self.seed) or not 0 <= int(self.seed) < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -285,8 +293,9 @@ def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int)
     by_read = rng.multinomial(in_class, np.concatenate((powers[:, :-1] * (1.0 - miss), powers[:, -1:]), axis=1))
     # No pool stage: every pool goes on to individual reads.
     declared = by_read[:, :-1].sum(axis=1) if law.reads else in_class
-    per_read = by_read.sum(axis=0)
-    pool_tests = int(per_read[:-1] @ np.arange(1, law.reads + 1)) + law.reads * int(per_read[-1])
+    # Read j ends j reads, and none all r: up to r * pools, past int64.
+    per_read = by_read.sum(axis=0).tolist()
+    pool_tests = sum(j * pools_at for j, pools_at in enumerate(per_read[:-1], 1)) + law.reads * per_read[-1]
 
     positives = int(k @ in_class)
     tp = int(rng.binomial(int(k @ declared), kit.se_i))
@@ -299,18 +308,24 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     """Run one simulation; identical config gives identical result at any thread count.
 
     per_subject=True runs the per-subject reference engine in place of the
-    count engine; the two give different counts for the same seed.
+    count engine; the two give different counts for the same seed. Only the
+    per-subject engine splits a run into chunks of about 2**20 subjects for
+    the threads to share. The count engine draws all full pools as one chunk
+    and the short final pool as another, at a cost that does not grow with
+    subjects, so more threads cannot speed it up; they give the same counts.
     """
     if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
     threads = int(threads)
-    # Each thread's walks reuse one buffer, dropped with the job list on return.
-    chunk = partial(_subject_chunk, walks=_Walks()) if per_subject else _count_chunk
 
     # Individual testing is pools of one, whose remainder is always empty.
     n = config.procedure.n
     full_pools, remainder = divmod(config.subjects, n)
-    pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n)
+    if per_subject:
+        # Each thread's walks reuse one buffer, dropped with the job list on return.
+        chunk, pools_per_chunk = partial(_subject_chunk, walks=_Walks()), max(1, _CHUNK_SUBJECT_TARGET // n)
+    else:
+        chunk, pools_per_chunk = _count_chunk, max(1, full_pools)
     # The laws are built here, in the calling thread, before any chunk runs.
     law = _pool_law(config, n)
     jobs = [

@@ -143,6 +143,13 @@ class TestSimulateCommand:
         assert int(pairs["subjects"]) == 20000
         assert int(pairs["tests"]) == int(pairs["pool_tests"]) + int(pairs["individual_tests"])
 
+    def test_a_population_of_2_to_the_63_exits_1_without_a_traceback(self, capsys):
+        args = [arg if arg != "20000" else str(2**63) for arg in self.ARGS]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "subjects must be a positive integer below 2**63" in err
+        assert "Traceback" not in err
+
     def test_result_file_omits_thread_count(self, capsys, tmp_path):
         code = main(self.ARGS + ["--threads", "2", "--out", str(tmp_path)])
         assert code == 0
@@ -455,7 +462,8 @@ class TestGoldenOutputs:
             "simulate", "--kind", "modified", "--n", "10", "--r", "3", "--p", "0.05",
             "--subjects", "1003", "--seed", "5", "--threads", "2",
         ],
-        # Past one chunk of 2**20 subjects: these pin the chunk layout.
+        # Past 2**20 subjects, the per-subject engine's chunk: these pin the count
+        # engine's one chunk of full pools, and its short pool's chunk after it.
         "simulate-individual-chunks": [
             "simulate", "--kind", "individual", "--p", "0.02", "--subjects", "2500000", "--seed", "3",
         ],

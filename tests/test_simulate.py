@@ -72,6 +72,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="subjects"):
             _config(subjects=0)
 
+    def test_rejects_a_population_of_2_to_the_63_or_more(self):
+        assert _config(subjects=2**63 - 1).subjects == 2**63 - 1
+        for bad in (2**63, 10**20, 1e30):
+            with pytest.raises(ValueError, match=r"subjects must be a positive integer below 2\*\*63"):
+                _config(subjects=bad)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             _config(seed=-1)
@@ -139,34 +145,35 @@ class TestScheduler:
 
     def test_a_chunk_that_raises_on_a_helper_is_reraised(self, monkeypatch):
         """The calling thread holds its chunk until a helper's chunk raises, so
-        a helper runs a chunk past the first whichever chunk each takes first."""
-        caller, raised, chunk = threading.get_ident(), threading.Event(), simulate_module._count_chunk
+        a helper runs a chunk past the first whichever chunk each takes first.
+        The per-subject engine's chunks are the ones that split a run."""
+        caller, raised, chunk = threading.get_ident(), threading.Event(), simulate_module._subject_chunk
 
-        def failing(config, pools, law, chunk_index):
+        def failing(config, pools, law, chunk_index, *, walks):
             if threading.get_ident() == caller:
                 assert raised.wait(30), "no helper ran a chunk"
             elif chunk_index >= 1:
                 raised.set()
                 raise RuntimeError(f"chunk {chunk_index} failed on a helper")
-            return chunk(config, pools, law, chunk_index)
+            return chunk(config, pools, law, chunk_index, walks=walks)
 
-        monkeypatch.setattr(simulate_module, "_count_chunk", failing)
+        monkeypatch.setattr(simulate_module, "_subject_chunk", failing)
         with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
             with pytest.raises(RuntimeError, match="failed on a helper"):
-                simulate(_config(subjects=5 * _SMALL_CHUNKS), threads=2)
+                simulate(_config(subjects=5 * _SMALL_CHUNKS), threads=2, per_subject=True)
 
     def test_one_thread_runs_every_chunk_on_the_calling_thread(self, monkeypatch):
-        runs, chunk = [], simulate_module._count_chunk
+        runs, chunk = [], simulate_module._subject_chunk
 
-        def recorded(config, pools, law, chunk_index):
+        def recorded(config, pools, law, chunk_index, *, walks):
             runs.append((chunk_index, threading.get_ident()))
-            return chunk(config, pools, law, chunk_index)
+            return chunk(config, pools, law, chunk_index, walks=walks)
 
-        monkeypatch.setattr(simulate_module, "_count_chunk", recorded)
+        monkeypatch.setattr(simulate_module, "_subject_chunk", recorded)
         self._no_thread_starts(monkeypatch)
         with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
             # Three full chunks of pools of 10, and a short pool of 7.
-            simulate(_config(subjects=3 * (_SMALL_CHUNKS // 10 * 10) + 7), threads=1)
+            simulate(_config(subjects=3 * (_SMALL_CHUNKS // 10 * 10) + 7), threads=1, per_subject=True)
         assert runs == [(index, threading.get_ident()) for index in range(4)]
 
     def test_one_chunk_at_eight_threads_starts_no_helper(self, monkeypatch):
@@ -181,6 +188,56 @@ class TestScheduler:
         with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
             results = [simulate(config, threads=threads, per_subject=per_subject) for threads in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
+
+
+class TestCountEngineChunks:
+    """The count engine draws every full pool of a run as chunk 0 and the
+    short final pool, if any, as chunk 1, at any population."""
+
+    @pytest.mark.parametrize("target", [None, 4096])
+    @pytest.mark.parametrize("subjects", [10_000_000, 2**40])
+    @pytest.mark.parametrize("short", [0, 5])
+    def test_one_call_per_run_and_one_for_the_short_pool(self, monkeypatch, target, subjects, short):
+        runs, chunk = [], simulate_module._count_chunk
+
+        def recorded(config, pools, law, chunk_index):
+            runs.append((pools, law.size, chunk_index))
+            return chunk(config, pools, law, chunk_index)
+
+        monkeypatch.setattr(simulate_module, "_count_chunk", recorded)
+        if target is not None:
+            monkeypatch.setattr(simulate_module, "_CHUNK_SUBJECT_TARGET", target)
+        # Pools of 8 divide both populations, so `short` is the short pool's size.
+        simulate(_config(kind=Procedure.DORFMAN, n=8, r=1, subjects=subjects + short), threads=2)
+        assert runs == [(subjects // 8, 8, 0)] + [(1, short, 1)] * (short > 0)
+
+    def test_pool_reads_past_int64_are_summed_exactly(self):
+        """2**59 pools of 2 read 62 times each on average, about 2**65 pool reads."""
+        config = _config(n=2, r=100, subjects=2**60, p=0.01)
+        result = simulate(config)
+        pools = 2**59
+        assert pools <= result.pool_tests <= 100 * pools
+        expected = evaluate(config.model, config.p, config.procedure).e_tests
+        assert result.tests_per_subject == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", list(Procedure))
+    def test_the_largest_population_gives_whole_counts(self, kind):
+        """At 2**63 - 1 subjects every count is in range, and each rate within
+        1e-6 of its closed form; SimResult checks the rest: nonnegative counts,
+        and each subject classified once."""
+        config = _config(kind=kind, r=1 if kind is Procedure.DORFMAN else 100, subjects=2**63 - 1)
+        result = simulate(config)
+        if kind is Procedure.INDIVIDUAL:
+            assert result.tests == result.individual_tests == 2**63 - 1
+        else:
+            _assert_pooled_counts_consistent(config, result)
+        analytic = evaluate(config.model, config.p, config.procedure)
+        for observed, expected in (
+            (result.tests_per_subject, analytic.e_tests),
+            (result.fn_per_subject, analytic.e_fn),
+            (result.fp_per_subject, analytic.e_fp),
+        ):
+            assert observed == pytest.approx(expected, rel=1e-6)
 
 
 class TestProcedureSemantics:
@@ -589,8 +646,10 @@ class TestVerification:
         assert value["e_tests"] == rel * rel  # verify's own product: ** 2 can differ by an ulp
 
 
-# Property tests run on chunks of 4,096 subjects, so a few thousand subjects
-# already span several chunks and the thread pool has work to split.
+# Property tests run the per-subject engine on chunks of 4,096 subjects, so a
+# few thousand subjects already span several chunks and the thread pool has
+# work to split. The count engine ignores the target: its full pools are one
+# chunk, and its short pool another.
 _SMALL_CHUNKS = 4096
 _PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 _KITS = st.sampled_from([TestKit(0.99, 0.99), TestKit(0.7, 0.9), TestKit(1.0, 1.0)])
