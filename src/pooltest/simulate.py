@@ -14,10 +14,8 @@ chunks from one job list, taking the next job as each finishes (next() on a
 list iterator is atomic under the GIL).
 
 simulate() runs one of two engines, each one chunk function with a fixed
-draw order. Only the per-subject engine cuts the full pools into chunks of
-about 2**20 subjects; the count engine draws them all as chunk 0, whose cost
-does not grow with their number. The short final pool, if any, is the
-last chunk of either.
+draw order. Only the per-subject engine cuts full pools into chunks of about
+2**20 subjects; the count engine draws them all as chunk 0, the short pool last.
 
 - The count engine, the default, draws by positive-count class and holds
   no per-pool arrays: the pools at each count k ~ Multinomial(pools, the
@@ -26,10 +24,9 @@ last chunk of either.
   geometric law of the miss chance 1 - Se(n, k) truncated at r); then
   TP ~ Binomial(sum of k over pools declared positive, Se_I) and
   FP ~ Binomial(sum of n - k over them, 1 - Sp). FN is the chunk's
-  positives less TP, and TN the rest. Sums of independent multinomials and
-  binomials are again multinomial and binomial, so one chunk has the law of
-  many. Every count is at most subjects < 2**63 except the pool reads, up to
-  r per pool, which are summed in Python ints.
+  positives less TP, and TN the rest. One chunk has the law of many, as sums
+  of independent multinomials and binomials are multinomial and binomial.
+  Counts but the pool reads are at most subjects < 2**63; those are Python ints.
 - The per-subject engine (per_subject=True), the reference that verify
   runs, draws subject statuses, then r pool reads per pool, all consumed
   whether or not early stopping needed them, then one individual read per
@@ -75,7 +72,6 @@ DESK_SCALE_SUBJECTS = 10_000_000
 _CHUNK_SUBJECT_TARGET = 1 << 20
 
 _MAX_SEED = 2**64
-# Every count but the pool reads is at most subjects, so none wraps in int64.
 _MAX_SUBJECTS = 2**63
 
 
@@ -293,7 +289,6 @@ def _count_chunk(config: SimConfig, pools: int, law: _PoolLaw, chunk_index: int)
     by_read = rng.multinomial(in_class, np.concatenate((powers[:, :-1] * (1.0 - miss), powers[:, -1:]), axis=1))
     # No pool stage: every pool goes on to individual reads.
     declared = by_read[:, :-1].sum(axis=1) if law.reads else in_class
-    # Read j ends j reads, and none all r: up to r * pools, past int64.
     per_read = by_read.sum(axis=0).tolist()
     pool_tests = sum(j * pools_at for j, pools_at in enumerate(per_read[:-1], 1)) + law.reads * per_read[-1]
 
@@ -309,23 +304,20 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
 
     per_subject=True runs the per-subject reference engine in place of the
     count engine; the two give different counts for the same seed. Only the
-    per-subject engine splits a run into chunks of about 2**20 subjects for
-    the threads to share. The count engine draws all full pools as one chunk
-    and the short final pool as another, at a cost that does not grow with
-    subjects, so more threads cannot speed it up; they give the same counts.
+    per-subject engine splits a run into chunks of about 2**20 subjects. The
+    count engine's cost does not grow with subjects: more threads give the
+    same counts but cannot speed it up.
     """
     if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
     threads = int(threads)
+    # Each thread's walks reuse one buffer, dropped with the job list on return.
+    chunk = partial(_subject_chunk, walks=_Walks()) if per_subject else _count_chunk
 
     # Individual testing is pools of one, whose remainder is always empty.
     n = config.procedure.n
     full_pools, remainder = divmod(config.subjects, n)
-    if per_subject:
-        # Each thread's walks reuse one buffer, dropped with the job list on return.
-        chunk, pools_per_chunk = partial(_subject_chunk, walks=_Walks()), max(1, _CHUNK_SUBJECT_TARGET // n)
-    else:
-        chunk, pools_per_chunk = _count_chunk, max(1, full_pools)
+    pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n if per_subject else full_pools)
     # The laws are built here, in the calling thread, before any chunk runs.
     law = _pool_law(config, n)
     jobs = [
