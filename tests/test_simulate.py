@@ -211,24 +211,24 @@ class TestCountEngineChunks:
         simulate(_config(kind=Procedure.DORFMAN, n=8, r=1, subjects=subjects + short), threads=2)
         assert runs == [(subjects // 8, 8, 0)] + [(1, short, 1)] * (short > 0)
 
-    def test_pool_reads_past_int64_are_summed_exactly(self):
-        """2**59 pools of 2 read 62 times each on average, about 2**65 pool reads."""
-        config = _config(n=2, r=100, subjects=2**60, p=0.01)
-        result = simulate(config)
-        pools = 2**59
-        assert pools <= result.pool_tests <= 100 * pools
-        expected = evaluate(config.model, config.p, config.procedure).e_tests
-        assert result.tests_per_subject == pytest.approx(expected, rel=1e-6)
-
-    @pytest.mark.parametrize("kind", list(Procedure))
-    def test_the_largest_population_gives_whole_counts(self, kind):
-        """At 2**63 - 1 subjects every count is in range, and each rate within
-        1e-6 of its closed form; SimResult checks the rest: nonnegative counts,
-        and each subject classified once."""
-        config = _config(kind=kind, r=1 if kind is Procedure.DORFMAN else 100, subjects=2**63 - 1)
+    @pytest.mark.parametrize(
+        "kind, n, r, subjects",
+        [
+            (Procedure.MODIFIED, 2, 100, 2**60),
+            (Procedure.INDIVIDUAL, 1, 1, 2**63 - 1),
+            (Procedure.DORFMAN, 10, 1, 2**63 - 1),
+            (Procedure.MODIFIED, 10, 100, 2**63 - 1),
+        ],
+    )
+    def test_counts_past_int64_are_exact(self, kind, n, r, subjects):
+        """2**59 pools of 2 read 62 times each on average, about 2**65 pool
+        reads. Each rate lies within 1e-6 of its closed form, up to the largest
+        population; SimResult checks that counts are nonnegative and that each
+        subject is classified once."""
+        config = _config(kind=kind, n=n, r=r, subjects=subjects)
         result = simulate(config)
         if kind is Procedure.INDIVIDUAL:
-            assert result.tests == result.individual_tests == 2**63 - 1
+            assert result.tests == result.individual_tests == subjects
         else:
             _assert_pooled_counts_consistent(config, result)
         analytic = evaluate(config.model, config.p, config.procedure)
