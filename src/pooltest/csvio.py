@@ -10,19 +10,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 _SIX_DIGITS = "%.6g"
 
-# Rows a columnar reader holds as text at once, so that its peak memory does
-# not grow with the file.
+# Rows a columnar reader or writer holds as text at once, so that its peak
+# memory does not grow with the file.
 CHUNK_ROWS = 256
 
 
 def fmt(value: float) -> str:
     """A float with 6 significant digits, as every file and result line holds it."""
     return _SIX_DIGITS % value
-
-
-def fmt_column(values: list[float]) -> list[str]:
-    """fmt of every value, in one format call for the whole column."""
-    return ((_SIX_DIGITS + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def write_cells(path: str | Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:

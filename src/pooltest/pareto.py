@@ -5,9 +5,9 @@ of pool sizes, and the retested procedure over pool sizes crossed with
 retest budgets, for each requested prevalence. Its result is one SweepTable
 of sweep.csv's eleven columns, swept or read back alike: the kernel's metric
 arrays become its columns, evaluate's row rules run once per column,
-sweep.csv is written and parsed column by column with no row checks of its
-own, and the summaries are masked argmins over it that give row indices.
-ParetoPoint views one row.
+sweep.csv is written one format call per run of rows and parsed by numpy's
+text reader, with no row checks of its own, and the summaries are masked
+argmins over it that give row indices. ParetoPoint views one row.
 
 Points are compared on (expected tests, expected false negatives), both per
 subject and both minimized. Dominance is computed twice: within each
@@ -19,6 +19,7 @@ the families' lower envelope and hides how each family trades off on its own.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import CHUNK_ROWS, fmt_column, read_columns, write_cells
+from .csvio import _SIX_DIGITS, CHUNK_ROWS, read_columns
 from .dilution import DilutionModel, bateman_fit_model
 from .evaluate import (
     Metrics,
@@ -327,24 +328,24 @@ def fp_summary(table: SweepTable) -> dict[Procedure, float]:
     return summary
 
 
+# A sweep.csv row as write_sweep_csv formats it, flags as 0 or 1.
+_CSV_ROW = "%r,%s,%d,%d" + ("," + _SIX_DIGITS) * 5 + ",%d,%d\r\n"
+
+
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
-    """Persist a sweep table column by column; p keeps every digit, the other
-    floats carry 6 significant digits.
+    """Persist a sweep table, each run of 256 rows in one format call; p keeps
+    every digit, the other floats carry 6 significant digits.
 
     p is written by repr, which matches fmt wherever p has at most 6
     significant digits; with every digit kept, two prevalences that agree to
     6 digits keep apart, and p near 1 does not round to 1.
     """
-    parts = (table[at : at + CHUNK_ROWS] for at in range(0, len(table), CHUNK_ROWS))
-    write_cells(path, SWEEP_CSV_COLUMNS, chain.from_iterable(map(_csv_cells, parts)))
-
-
-def _csv_cells(part: SweepTable):
-    """The rows of part as sweep.csv holds them, formatted a column at a time."""
-    cells = [map(repr, part.p.tolist()), part.kind.tolist(), map(str, part.n.tolist()), map(str, part.r.tolist())]
-    cells += [fmt_column(getattr(part, name).tolist()) for name in SWEEP_CSV_COLUMNS[4:9]]
-    cells += [np.where(getattr(part, name), "1", "0").tolist() for name in SWEEP_CSV_COLUMNS[9:]]
-    return zip(*cells)
+    with Path(path).open("w", newline="") as handle:
+        handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
+        for at in range(0, len(table), CHUNK_ROWS):
+            part = table[at : at + CHUNK_ROWS]
+            cells = chain.from_iterable(zip(*(getattr(part, name).tolist() for name in SWEEP_CSV_COLUMNS)))
+            handle.write(_CSV_ROW * len(part) % tuple(cells))
 
 
 def _flag(name: str, cell: str) -> bool:
@@ -358,26 +359,63 @@ def _flag(name: str, cell: str) -> bool:
 _PARSERS = [{"kind": str, "n": int, "r": int}.get(name, float) for name in SWEEP_CSV_COLUMNS[:9]]
 _PARSERS += [partial(_flag, name) for name in SWEEP_CSV_COLUMNS[9:]]
 
+# The same columns for numpy's reader. A text column is one character wider
+# than its longest valid value, so that no cut-off cell reads as valid.
+_CSV_DTYPE = np.dtype([(name, {"kind": "U11", "n": "i8", "r": "i8"}.get(name, "f8")) for name in SWEEP_CSV_COLUMNS[:9]]
+                      + [(name, "U2") for name in SWEEP_CSV_COLUMNS[9:]])
+# Bytes that numpy's reader takes where int, float and str cells do not: NUL,
+# which it drops from the end of a text cell, and \x1c-\x1f, which it strips
+# around a number as whitespace.
+_UNLIKE_PYTHON = b"\x00\x1c\x1d\x1e\x1f"
+
+
+def _read_plain(path: str | Path) -> SweepTable | None:
+    """The table of a sweep.csv as write_sweep_csv writes it, parsed by numpy
+    in one call from the open file; None for any other file."""
+    with Path(path).open("rb") as raw:
+        if any(byte in block for block in iter(partial(raw.read, 1 << 16), b"") for byte in _UNLIKE_PYTHON):
+            return None
+    with Path(path).open(newline="") as handle, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if [cell.strip() for cell in handle.readline().split(",")] != SWEEP_CSV_COLUMNS:
+            return None
+        try:
+            rows = np.loadtxt(handle, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    flags = [rows[name] for name in SWEEP_CSV_COLUMNS[9:]]
+    if not (np.isin(rows["kind"], (_INDIVIDUAL, _DORFMAN, _MODIFIED)).all() and np.isin(flags, ("0", "1")).all()):
+        return None
+    try:
+        return SweepTable(*(np.ascontiguousarray(rows[name]) for name in SWEEP_CSV_COLUMNS[:9]), *(flag == "1" for flag in flags))
+    except ValueError:
+        return None
+
 
 def read_sweep_csv(path: str | Path) -> SweepTable:
-    """Load a table written by write_sweep_csv, parsing it column by column.
+    """Load a table written by write_sweep_csv.
 
+    A file as write_sweep_csv writes it is parsed by numpy in one call. Any
+    other, or one whose table fails a rule, is read again by
+    csvio.read_columns, which gives the same table or names the fault.
     Dominance flags come back as written, not recomputed. A cell that does not
     parse raises ValueError naming the path and its line as the file is read;
     then the first row that fails one of the table's rules does, with the
     rule's message. So does a repeated (p, kind, n, r) row, or a prevalence
     with no individual row to be relative to, naming the file.
     """
-    lines: list[int] = []
-    columns: list[list] = [[] for _ in SWEEP_CSV_COLUMNS]
-    for chunk_lines, chunk in read_columns(path, SWEEP_CSV_COLUMNS, _PARSERS):
-        lines += chunk_lines
-        for column, values in zip(columns, chunk):
-            column += values
-    try:
-        table = SweepTable(*columns)
-    except RowError as exc:
-        raise ValueError(f"{path}:{lines[exc.at]}: {exc.message}") from None
+    table = _read_plain(path)
+    if table is None:
+        lines: list[int] = []
+        columns: list[list] = [[] for _ in SWEEP_CSV_COLUMNS]
+        for chunk_lines, chunk in read_columns(path, SWEEP_CSV_COLUMNS, _PARSERS):
+            lines += chunk_lines
+            for column, values in zip(columns, chunk):
+                column += values
+        try:
+            table = SweepTable(*columns)
+        except RowError as exc:
+            raise ValueError(f"{path}:{lines[exc.at]}: {exc.message}") from None
 
     keys = list(zip(table.p.tolist(), table.kind.tolist(), table.n.tolist(), table.r.tolist()))
     if len(set(keys)) < len(keys):

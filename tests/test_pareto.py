@@ -1,8 +1,10 @@
 """Sweep construction, dominance filtering, summaries, and CSV persistence."""
 
+import importlib
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -25,12 +27,14 @@ from pooltest import (
     sweep,
     write_sweep_csv,
 )
-from pooltest.csvio import fmt, fmt_column
+from pooltest.csvio import fmt
 from pooltest.evaluate import check_rows, eval_individual, metric_rules
 from pooltest.kernels import check_prevalence
-from pooltest.pareto import SWEEP_CSV_COLUMNS, ParetoPoint, _dominated
+from pooltest.pareto import _CSV_ROW, SWEEP_CSV_COLUMNS, ParetoPoint, _dominated
 
 from _oracles import brute_force_front
+
+pareto_module = importlib.import_module("pooltest.pareto")
 
 
 def _point(p, e_tests, e_fn, kind=Procedure.MODIFIED, n=5, r=2, e_fp=0.001,
@@ -445,10 +449,12 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match=re.escape(f"sweep.csv:3: {name} must be 0 or 1, got {cell!r}")):
             read_sweep_csv(path)
 
-    def test_whole_column_format_is_fmt(self):
-        values = [0.0, -0.0, 5e-324, 1e-5, 9.999995e-5, 0.1, 1 / 3, 123456.5, 1e16, -2.5, math.inf, -math.inf, math.nan]
-        assert fmt_column(values) == [fmt(value) for value in values]
-        assert fmt_column([]) == []
+    def test_row_format_writes_each_metric_as_fmt(self):
+        values = [0.0, -0.0, 5e-324, 1e-5, 9.999995e-5, 0.1, 1 / 3, 123456.5, 1e16, -2.5, math.inf, -math.inf, math.nan, 0.25, 2.5]
+        for at in range(0, len(values), 5):
+            five = values[at : at + 5]
+            row = _CSV_ROW % (0.1 + 0.2, "modified", 10, 3, *five, True, False)
+            assert row == ",".join(["0.30000000000000004", "modified", "10", "3", *map(fmt, five), "1", "0"]) + "\r\n"
 
     def test_header_alone_is_an_empty_table(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -657,3 +663,103 @@ def _edited(tmp_path, lines, *edits):
     path = tmp_path / "sweep.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _walked_instead(path, header, parsers):
+    raise AssertionError(f"{path} was read by the walked reader")
+
+
+def _outcome(path):
+    """read_sweep_csv's table for path, or its message."""
+    try:
+        return read_sweep_csv(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _cell(line, column, cell):
+    """An edit of sweep.csv's lines: one cell replaced."""
+    def edit(lines):
+        cells = lines[line - 1].split(",")
+        cells[SWEEP_CSV_COLUMNS.index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+    return edit
+
+
+def _insert(line, text):
+    """An edit of sweep.csv's lines: text put in as line number line."""
+    return lambda lines: lines.insert(line - 1, text)
+
+
+_LINE_160 = "0.05,modified,5,4,0.914846,0.00050081,0.00206706,0.914846,0.00161903,0,0"
+
+# Edits of four_prevalences_csv, whose lines 137, 152, 160 and 173 hold n =
+# 1, 3, 5 and 10, and the line ends it is written with.
+_EDITED_FILES = {
+    **{f"quoted-{name}": ([_cell(160, name, f'"{cell}"')], "\r\n") for name, cell in zip(SWEEP_CSV_COLUMNS, _LINE_160.split(","))},
+    **{f"{name}-{flag!r}": ([_cell(160, name, flag)], "\r\n") for name in SWEEP_CSV_COLUMNS[9:] for flag in (" 1", "01", "1x", "0\x00")},
+    "n-plus-sign": ([_cell(152, "n", "+3")], "\r\n"),
+    "n-padded": ([_cell(152, "n", " 3 ")], "\r\n"),
+    "n-float": ([_cell(152, "n", "3.0")], "\r\n"),
+    "n-underscore": ([_cell(173, "n", "1_0")], "\r\n"),
+    "n-arabic-indic-digit": ([_cell(137, "n", "\u0661")], "\r\n"),
+    "n-after-x1c": ([_cell(152, "n", "\x1c3")], "\r\n"),
+    "float-in-unicode-spaces": ([_cell(160, "e_fp", "\xa00.00206706\u2003")], "\r\n"),
+    "float-overflow": ([_cell(160, "e_tests", "1e309")], "\r\n"),
+    "kind-of-16-characters": ([_cell(160, "kind", "modifiedmodified")], "\r\n"),
+    "kind-of-11-characters": ([_cell(137, "kind", "individualX")], "\r\n"),
+    "kind-ending-in-nul": ([_cell(160, "kind", "modified\x00")], "\r\n"),
+    "blank-line": ([_insert(100, "")], "\r\n"),
+    "whitespace-line": ([_insert(100, " \t ")], "\r\n"),
+    "empty-cells-line": ([_insert(100, ",,,,,,,,,,")], "\r\n"),
+    "repeated-row": ([_insert(161, _LINE_160)], "\r\n"),
+    "lf-endings": ([], "\n"),
+    "trailing-comma": ([_cell(160, "dominated_joint", "0,")], "\n"),
+}
+
+
+class TestPlainReader:
+    """read_sweep_csv parses a file as write_sweep_csv writes it with numpy in
+    one call, and reads any other with the walked reader, whose table or
+    message it then gives."""
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(),
+        SweepSpec(p_values=(0.001, 0.3), n_range=(2, 40), r_range=(1, 1)),
+    ], ids=["default-grid", "r-1-grid"])
+    def test_a_written_sweep_is_read_by_numpy(self, spec, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep(spec), path)
+        walked = read_sweep_csv(path)
+        monkeypatch.setattr(pareto_module, "read_columns", _walked_instead)
+        loaded = read_sweep_csv(path)
+        assert loaded == walked and len(loaded) == len(sweep(spec))
+        again = tmp_path / "again.csv"
+        write_sweep_csv(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_two_runs_with_lf_endings_are_read_by_numpy(self, eight_prevalences_csv, tmp_path, monkeypatch):
+        path = _edited(tmp_path, eight_prevalences_csv)
+        walked = read_sweep_csv(path)
+        monkeypatch.setattr(pareto_module, "read_columns", _walked_instead)
+        assert read_sweep_csv(path) == walked
+
+    @pytest.mark.parametrize("case", list(_EDITED_FILES))
+    def test_an_edited_file_reads_as_the_walked_reader_reads_it(self, four_prevalences_csv, tmp_path, monkeypatch, case):
+        edits, newline = _EDITED_FILES[case]
+        lines = list(four_prevalences_csv)
+        for edit in edits:
+            edit(lines)
+        path = tmp_path / "sweep.csv"
+        path.write_text("".join(line + newline for line in lines), newline="")
+        read = _outcome(path)
+        monkeypatch.setattr(pareto_module, "_read_plain", lambda path: None)
+        assert read == _outcome(path)
+
+    def test_a_header_alone_reads_as_an_empty_table_without_a_warning(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(",".join(SWEEP_CSV_COLUMNS) + "\r\n", newline="")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(read_sweep_csv(path)) == 0
+        assert caught == []
