@@ -10,8 +10,10 @@ draws from its own PCG64 stream, spawned from the seed's SeedSequence at key
 reduced by exact integer addition, the outcome is identical for any thread
 count. The Se rows and class laws are built in the calling thread before
 any chunk runs; then the calling thread and threads - 1 helper threads run
-chunks from one job list, taking the next job as each finishes (next() on a
-list iterator is atomic under the GIL).
+chunks from one map over the chunk indices, each taking the next index as it
+finishes: next() on the range iterator is atomic under the GIL, and a map,
+unlike a generator, may be advanced by two threads at once. No chunk's
+arguments exist before it is taken.
 
 simulate() runs one of two engines, each one chunk function with a fixed
 draw order. Only the per-subject engine cuts full pools into chunks of about
@@ -320,19 +322,22 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n if per_subject else full_pools)
     # The laws are built here, in the calling thread, before any chunk runs.
     law = _pool_law(config, n)
-    jobs = [
-        partial(chunk, config, min(pools_per_chunk, full_pools - start), law, ci)
-        for ci, start in enumerate(range(0, full_pools, pools_per_chunk))
-    ]
-    if remainder:
-        jobs.append(partial(chunk, config, 1, _pool_law(config, remainder), len(jobs)))
+    short_law = _pool_law(config, remainder) if remainder else None
+    starts = range(0, full_pools, pools_per_chunk)
 
-    # The calling thread and threads - 1 helpers drain one job list; a helper's
-    # exception is re-raised by its result(). At one thread no thread starts.
-    todo = iter(jobs)
+    def run(ci: int):
+        if ci == len(starts):
+            return chunk(config, 1, short_law, ci)
+        return chunk(config, min(pools_per_chunk, full_pools - starts[ci]), law, ci)
+
+    # The calling thread and threads - 1 helpers drain one map over the chunk
+    # indices, made as they are taken; a helper's exception is re-raised by
+    # its result(). At one thread no thread starts.
+    chunks = len(starts) + bool(remainder)
+    todo = map(run, range(chunks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        helpers = [pool.submit(lambda: [job() for job in todo]) for _ in range(min(threads, len(jobs)) - 1)]
-        parts = [job() for job in todo] + [part for helper in helpers for part in helper.result()]
+        helpers = [pool.submit(list, todo) for _ in range(min(threads, chunks) - 1)]
+        parts = list(todo) + [part for helper in helpers for part in helper.result()]
 
     pool_tests, individual_tests, tp, fp, tn, fn = (sum(column) for column in zip(*parts))
     return SimResult(

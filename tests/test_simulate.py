@@ -134,7 +134,7 @@ class TestDeterminism:
 
 
 class TestScheduler:
-    """The calling thread runs chunks, and threads - 1 helpers drain the same job list."""
+    """The calling thread runs chunks, and threads - 1 helpers drain the same map over chunk indices."""
 
     @staticmethod
     def _no_thread_starts(monkeypatch):
@@ -181,6 +181,28 @@ class TestScheduler:
         baseline = simulate(config, threads=1)
         self._no_thread_starts(monkeypatch)
         assert simulate(config, threads=8) == baseline
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_chunk_is_made_only_when_taken(self, monkeypatch, threads):
+        """2**40 subjects are about 10**6 chunks of the per-subject engine; the
+        run holds none of them before its first chunk runs."""
+
+        class FirstChunk(Exception):
+            pass
+
+        def stop(config, pools, law, chunk_index, *, walks):
+            raise FirstChunk(chunk_index)
+
+        monkeypatch.setattr(simulate_module, "_subject_chunk", stop)
+        config = _config(subjects=1 << 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstChunk):
+                simulate(config, threads=threads, per_subject=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("per_subject", [False, True])
     def test_engines_agree_across_one_two_and_three_threads(self, per_subject):
