@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -677,6 +678,12 @@ def _outcome(path):
         return str(exc)
 
 
+def _walked_outcome(path):
+    """_outcome with every file declined by the numpy path."""
+    with mock.patch.object(pareto_module, "_read_plain", lambda path: None):
+        return _outcome(path)
+
+
 def _cell(line, column, cell):
     """An edit of sweep.csv's lines: one cell replaced."""
     def edit(lines):
@@ -728,33 +735,31 @@ class TestPlainReader:
         SweepSpec(p_values=(0.001, 0.3), n_range=(2, 40), r_range=(1, 1)),
     ], ids=["default-grid", "r-1-grid"])
     def test_a_written_sweep_is_read_by_numpy(self, spec, tmp_path, monkeypatch):
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(sweep(spec), path)
-        walked = read_sweep_csv(path)
+        table, path = sweep(spec), tmp_path / "sweep.csv"
+        write_sweep_csv(table, path)
+        walked = _walked_outcome(path)
         monkeypatch.setattr(pareto_module, "read_columns", _walked_instead)
         loaded = read_sweep_csv(path)
-        assert loaded == walked and len(loaded) == len(sweep(spec))
+        assert loaded == walked and len(loaded) == len(table)
         again = tmp_path / "again.csv"
         write_sweep_csv(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
     def test_two_runs_with_lf_endings_are_read_by_numpy(self, eight_prevalences_csv, tmp_path, monkeypatch):
         path = _edited(tmp_path, eight_prevalences_csv)
-        walked = read_sweep_csv(path)
+        walked = _walked_outcome(path)
         monkeypatch.setattr(pareto_module, "read_columns", _walked_instead)
         assert read_sweep_csv(path) == walked
 
     @pytest.mark.parametrize("case", list(_EDITED_FILES))
-    def test_an_edited_file_reads_as_the_walked_reader_reads_it(self, four_prevalences_csv, tmp_path, monkeypatch, case):
+    def test_an_edited_file_reads_as_the_walked_reader_reads_it(self, four_prevalences_csv, tmp_path, case):
         edits, newline = _EDITED_FILES[case]
         lines = list(four_prevalences_csv)
         for edit in edits:
             edit(lines)
         path = tmp_path / "sweep.csv"
         path.write_text("".join(line + newline for line in lines), newline="")
-        read = _outcome(path)
-        monkeypatch.setattr(pareto_module, "_read_plain", lambda path: None)
-        assert read == _outcome(path)
+        assert _outcome(path) == _walked_outcome(path)
 
     def test_a_header_alone_reads_as_an_empty_table_without_a_warning(self, tmp_path):
         path = tmp_path / "sweep.csv"
