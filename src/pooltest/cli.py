@@ -337,7 +337,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, subjects: str, seed: int
     """The simulation flags: population, seed and thread count."""
     parser.add_argument("--subjects", type=int, default=DESK_SCALE_SUBJECTS, help=f"{subjects} (default {DESK_SCALE_SUBJECTS})")
     parser.add_argument("--seed", type=int, default=seed, help=f"{seed_help} (default {seed})")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument("--threads", type=int, default=1, help="kept for run records and scripts; changes neither counts nor speed (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -42,29 +42,33 @@ def read_columns(path: str | Path, header: list[str], parsers: Sequence[Callable
     header, a row of another width, or a cell its parser rejects raises
     ValueError naming the path, and the line of a bad row: in a run, the first
     of another width, else the first such cell's, with its parser's message.
+    So does a file that is not text in the locale's encoding.
     """
     with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        found = next(reader, None)
-        if found is None:
-            raise ValueError(f"{path}: empty file, expected header {','.join(header)}")
-        if [cell.strip() for cell in found] != header:
-            raise ValueError(f"{path}: unexpected header {found!r}, expected {','.join(header)}")
-        rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if "".join(row).strip())
-        while chunk := list(islice(rows, CHUNK_ROWS)):
-            for lineno, row in chunk:
-                if len(row) != len(header):
-                    raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            lines, cells = zip(*chunk)
-            try:
-                columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*cells))]
-            except ValueError:
-                # Only a run with a bad cell is walked again, row by row, to name it.
+        try:
+            reader = csv.reader(handle)
+            found = next(reader, None)
+            if found is None:
+                raise ValueError(f"{path}: empty file, expected header {','.join(header)}")
+            if [cell.strip() for cell in found] != header:
+                raise ValueError(f"{path}: unexpected header {found!r}, expected {','.join(header)}")
+            rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if "".join(row).strip())
+            while chunk := list(islice(rows, CHUNK_ROWS)):
                 for lineno, row in chunk:
-                    for parse, cell in zip(parsers, row):
-                        try:
-                            parse(cell)
-                        except ValueError as exc:
-                            raise ValueError(f"{path}:{lineno}: {exc}") from None
-                raise
-            yield lines, columns
+                    if len(row) != len(header):
+                        raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+                lines, cells = zip(*chunk)
+                try:
+                    columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*cells))]
+                except ValueError:
+                    # Only a run with a bad cell is walked again, row by row, to name it.
+                    for lineno, row in chunk:
+                        for parse, cell in zip(parsers, row):
+                            try:
+                                parse(cell)
+                            except ValueError as exc:
+                                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    raise
+                yield lines, columns
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -377,9 +377,9 @@ def _read_plain(path: str | Path) -> SweepTable | None:
             return None
     with Path(path).open(newline="") as handle, warnings.catch_warnings():
         warnings.simplefilter("error")
-        if [cell.strip() for cell in handle.readline().split(",")] != SWEEP_CSV_COLUMNS:
-            return None
         try:
+            if [cell.strip() for cell in handle.readline().split(",")] != SWEEP_CSV_COLUMNS:
+                return None
             rows = np.loadtxt(handle, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1)
         except (ValueError, Warning):
             return None
@@ -417,12 +417,13 @@ def read_sweep_csv(path: str | Path) -> SweepTable:
         except RowError as exc:
             raise ValueError(f"{path}:{lines[exc.at]}: {exc.message}") from None
 
-    keys = list(zip(table.p.tolist(), table.kind.tolist(), table.n.tolist(), table.r.tolist()))
-    if len(set(keys)) < len(keys):
-        seen: set[tuple] = set()
-        repeat = next(key for key in keys if key in seen or seen.add(key))
-        raise ValueError("{}: repeated row for p={!r}, kind={}, n={}, r={}".format(path, *repeat))
-    missing = set(table.p.tolist()) - set(table.p[table.kind == _INDIVIDUAL].tolist())
-    if missing:
-        raise ValueError(f"{path}: no individual row for prevalence {min(missing)!r}")
+    key = (table.p, table.kind, table.n, table.r)
+    # Sorted stably, each row after the first of its key is a repeat; the first in the file is named.
+    order = np.lexsort(key[::-1])
+    repeats = order[1:][np.logical_and.reduce([column[order][1:] == column[order][:-1] for column in key])]
+    if repeats.size:
+        raise ValueError("{}: repeated row for p={!r}, kind={}, n={}, r={}".format(path, *(column[repeats.min()].item() for column in key)))
+    missing = table.p[~np.isin(table.p, table.p[table.kind == _INDIVIDUAL])]
+    if missing.size:
+        raise ValueError(f"{path}: no individual row for prevalence {missing.min().item()!r}")
     return table

@@ -6,14 +6,9 @@ evaluated at that size. Individual testing runs as pools of one read zero
 times, so every pool goes on to individual reads and every procedure has
 the same layout. Work is split into chunks of whole pools, and every chunk
 draws from its own PCG64 stream, spawned from the seed's SeedSequence at key
-(chunk_index,). Because chunk streams are independent and results are
-reduced by exact integer addition, the outcome is identical for any thread
-count. The Se rows and class laws are built in the calling thread before
-any chunk runs; then the calling thread and threads - 1 helper threads run
-chunks from one map over the chunk indices, each taking the next index as it
-finishes: next() on the range iterator is atomic under the GIL, and a map,
-unlike a generator, may be advanced by two threads at once. No chunk's
-arguments exist before it is taken.
+(chunk_index,). Chunks run in order on the calling thread, each made only
+when it runs, and their counts are added exactly as each returns. The
+threads argument is validated but changes neither counts nor speed.
 
 simulate() runs one of two engines, each one chunk function with a fixed
 draw order. Only the per-subject engine cuts full pools into chunks of about
@@ -45,8 +40,6 @@ draw order. Only the per-subject engine cuts full pools into chunks of about
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
@@ -179,9 +172,9 @@ def _pool_law(config: SimConfig, n: int) -> _PoolLaw:
     )
 
 
-class _Walks(threading.local):
-    """Each thread's float64 draw buffer for the walks of one simulate() call.
-    A walk overwrites the last, so its positions are valid until that thread's next walk."""
+class _Walks:
+    """The float64 draw buffer for the walks of one simulate() call. A walk
+    overwrites the last, so its positions are valid until the next walk."""
 
     def __init__(self) -> None:
         self.draws = np.empty(0)
@@ -306,21 +299,19 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
 
     per_subject=True runs the per-subject reference engine in place of the
     count engine; the two give different counts for the same seed. Only the
-    per-subject engine splits a run into chunks of about 2**20 subjects. The
-    count engine's cost does not grow with subjects: more threads give the
-    same counts but cannot speed it up.
+    per-subject engine splits a run into chunks of about 2**20 subjects.
+    threads must lie in [1, 64]; it is kept for run records and scripts, and
+    every chunk runs on the calling thread.
     """
     if not is_whole(threads) or not 1 <= int(threads) <= 64:
         raise ValueError(f"threads must be an integer in [1, 64], got {threads!r}")
-    threads = int(threads)
-    # Each thread's walks reuse one buffer, dropped with the job list on return.
+    # The walks reuse one buffer, dropped on return.
     chunk = partial(_subject_chunk, walks=_Walks()) if per_subject else _count_chunk
 
     # Individual testing is pools of one, whose remainder is always empty.
     n = config.procedure.n
     full_pools, remainder = divmod(config.subjects, n)
     pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n if per_subject else full_pools)
-    # The laws are built here, in the calling thread, before any chunk runs.
     law = _pool_law(config, n)
     short_law = _pool_law(config, remainder) if remainder else None
     starts = range(0, full_pools, pools_per_chunk)
@@ -330,16 +321,10 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
             return chunk(config, 1, short_law, ci)
         return chunk(config, min(pools_per_chunk, full_pools - starts[ci]), law, ci)
 
-    # The calling thread and threads - 1 helpers drain one map over the chunk
-    # indices, made as they are taken; a helper's exception is re-raised by
-    # its result(). At one thread no thread starts.
-    chunks = len(starts) + bool(remainder)
-    todo = map(run, range(chunks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        helpers = [pool.submit(list, todo) for _ in range(min(threads, chunks) - 1)]
-        parts = list(todo) + [part for helper in helpers for part in helper.result()]
-
-    pool_tests, individual_tests, tp, fp, tn, fn = (sum(column) for column in zip(*parts))
+    totals = [0] * 6
+    for ci in range(len(starts) + bool(remainder)):
+        totals = [total + count for total, count in zip(totals, run(ci))]
+    pool_tests, individual_tests, tp, fp, tn, fn = totals
     return SimResult(
         subjects=config.subjects,
         tests=pool_tests + individual_tests,

@@ -226,6 +226,13 @@ class TestFitCommand:
         assert main(["fit", "--fit-data", str(data)]) == 1
         assert "pooltest: error:" in capsys.readouterr().err
 
+    def test_data_that_is_not_utf8_exits_one_naming_the_file(self, capsys, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(b"n,k,se\n1,1,0.99\n5,1,0.\xff93\n10,1,0.91\n")
+        assert main(["fit", "--fit-data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pooltest: error: {data}: ") and "codec can't decode byte 0xff" in err, err
+
     def test_missing_data_file_exits_one(self, capsys, tmp_path):
         assert main(["fit", "--fit-data", str(tmp_path / "nope.csv")]) == 1
         capsys.readouterr()
@@ -338,6 +345,21 @@ class TestTablesCommand:
         path.write_text("\n".join([*lines, lines[3]]) + "\n")
         assert main(["tables", "--sweep-csv", str(path), "--out", str(tmp_path / "tables")]) == 1
         assert f"pooltest: error: {path}: repeated row for p=0.01, kind=" in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
+
+    @pytest.mark.parametrize("line, cell", [(3, 1), (0, 1)], ids=["kind-cell", "header"])
+    def test_csv_that_is_not_utf8_exits_one_naming_the_file(self, capsys, tmp_path, line, cell):
+        assert main(["sweep", *self.GRID, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[line].split(b",")
+        cells[cell] = cells[cell][:2] + b"\xff" + cells[cell][2:]
+        lines[line] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        assert main(["tables", "--sweep-csv", str(path), "--out", str(tmp_path / "tables")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pooltest: error: {path}: ") and "codec can't decode byte 0xff" in err, err
         assert not (tmp_path / "tables").exists()
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):

@@ -478,6 +478,18 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match=re.escape(repeated)):
             read_sweep_csv(path)
 
+    def test_names_the_first_repeat_in_the_file_not_in_key_order(self, small_sweep, tmp_path):
+        """Two keys repeat; the one that sorts later repeats first in the file."""
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(small_sweep, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[-1], lines[3]]) + "\n")
+        kind, n, r = small_sweep.kind[-1], small_sweep.n[-1], small_sweep.r[-1]
+        assert (kind, n, r) > (small_sweep.kind[2], small_sweep.n[2], small_sweep.r[2])
+        with pytest.raises(ValueError) as raised:
+            read_sweep_csv(path)
+        assert str(raised.value) == f"{path}: repeated row for p=0.01, kind={kind}, n={n}, r={r}"
+
     def test_rejects_a_prevalence_without_its_individual_row(self, small_sweep, tmp_path):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(small_sweep, path)

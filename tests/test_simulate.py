@@ -134,53 +134,34 @@ class TestDeterminism:
 
 
 class TestScheduler:
-    """The calling thread runs chunks, and threads - 1 helpers drain the same map over chunk indices."""
+    """Every chunk runs in order on the calling thread, whatever threads is."""
 
-    @staticmethod
-    def _no_thread_starts(monkeypatch):
+    @pytest.mark.parametrize("per_subject", [False, True])
+    def test_every_chunk_runs_in_order_on_the_calling_thread(self, monkeypatch, per_subject):
+        """No thread starts at threads = 1, 2, 8 or 64, and the counts are those at one thread."""
+        name = "_subject_chunk" if per_subject else "_count_chunk"
+        runs, chunk = [], getattr(simulate_module, name)
+
+        def recorded(config, pools, law, chunk_index, **walks):
+            runs.append((chunk_index, threading.get_ident()))
+            return chunk(config, pools, law, chunk_index, **walks)
+
         def start(thread):
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", start)
-
-    def test_a_chunk_that_raises_on_a_helper_is_reraised(self, monkeypatch):
-        """The calling thread holds its chunk until a helper's chunk raises, so
-        a helper runs a chunk past the first whichever chunk each takes first.
-        The per-subject engine's chunks are the ones that split a run."""
-        caller, raised, chunk = threading.get_ident(), threading.Event(), simulate_module._subject_chunk
-
-        def failing(config, pools, law, chunk_index, *, walks):
-            if threading.get_ident() == caller:
-                assert raised.wait(30), "no helper ran a chunk"
-            elif chunk_index >= 1:
-                raised.set()
-                raise RuntimeError(f"chunk {chunk_index} failed on a helper")
-            return chunk(config, pools, law, chunk_index, walks=walks)
-
-        monkeypatch.setattr(simulate_module, "_subject_chunk", failing)
-        with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
-            with pytest.raises(RuntimeError, match="failed on a helper"):
-                simulate(_config(subjects=5 * _SMALL_CHUNKS), threads=2, per_subject=True)
-
-    def test_one_thread_runs_every_chunk_on_the_calling_thread(self, monkeypatch):
-        runs, chunk = [], simulate_module._subject_chunk
-
-        def recorded(config, pools, law, chunk_index, *, walks):
-            runs.append((chunk_index, threading.get_ident()))
-            return chunk(config, pools, law, chunk_index, walks=walks)
-
-        monkeypatch.setattr(simulate_module, "_subject_chunk", recorded)
-        self._no_thread_starts(monkeypatch)
-        with mock.patch.object(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS):
-            # Three full chunks of pools of 10, and a short pool of 7.
-            simulate(_config(subjects=3 * (_SMALL_CHUNKS // 10 * 10) + 7), threads=1, per_subject=True)
-        assert runs == [(index, threading.get_ident()) for index in range(4)]
-
-    def test_one_chunk_at_eight_threads_starts_no_helper(self, monkeypatch):
-        config = _config(subjects=1_000)
-        baseline = simulate(config, threads=1)
-        self._no_thread_starts(monkeypatch)
-        assert simulate(config, threads=8) == baseline
+        monkeypatch.setattr(simulate_module, name, recorded)
+        monkeypatch.setattr(simulate_module, "_CHUNK_SUBJECT_TARGET", _SMALL_CHUNKS)
+        # Three of the per-subject engine's full chunks of pools of 10, and a
+        # short pool of 7; the count engine draws the full pools as one chunk.
+        config = _config(subjects=3 * (_SMALL_CHUNKS // 10 * 10) + 7)
+        chunks = 4 if per_subject else 2
+        results = []
+        for threads in (1, 2, 8, 64):
+            runs.clear()
+            results.append(simulate(config, threads=threads, per_subject=per_subject))
+            assert runs == [(index, threading.get_ident()) for index in range(chunks)], threads
+        assert results == results[:1] * 4
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_chunk_is_made_only_when_taken(self, monkeypatch, threads):
