@@ -5,9 +5,10 @@ of pool sizes, and the retested procedure over pool sizes crossed with
 retest budgets, for each requested prevalence. Its result is one SweepTable
 of sweep.csv's eleven columns, swept or read back alike: the kernel's metric
 arrays become its columns, evaluate's row rules run once per column,
-sweep.csv is written one format call per run of rows and parsed by numpy's
-text reader, with no row checks of its own, and the summaries are masked
-argmins over it that give row indices. ParetoPoint views one row.
+sweep.csv is formatted in numpy a run of rows at a time, with the bytes of
+Python's % formatting, and parsed by numpy's text reader, with no row checks
+of its own, and the summaries are masked argmins over it that give row
+indices. ParetoPoint views one row.
 
 Points are compared on (expected tests, expected false negatives), both per
 subject and both minimized. Dominance is computed twice: within each
@@ -22,13 +23,12 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .csvio import _SIX_DIGITS, CHUNK_ROWS, read_columns
+from .csvio import WRITE_ROWS, byte_cells, fmt_cells, join_cells, read_columns, text_cells
 from .dilution import DilutionModel, bateman_fit_model
 from .evaluate import (
     Metrics,
@@ -328,24 +328,29 @@ def fp_summary(table: SweepTable) -> dict[Procedure, float]:
     return summary
 
 
-# A sweep.csv row as write_sweep_csv formats it, flags as 0 or 1.
-_CSV_ROW = "%r,%s,%d,%d" + ("," + _SIX_DIGITS) * 5 + ",%d,%d\r\n"
-
-
 def write_sweep_csv(table: SweepTable, path: str | Path) -> None:
-    """Persist a sweep table, each run of 256 rows in one format call; p keeps
-    every digit, the other floats carry 6 significant digits.
+    """Persist a sweep table, formatted in numpy WRITE_ROWS rows at a time; p
+    keeps every digit, the other floats carry 6 significant digits as fmt
+    writes them, and the flags are 0 or 1.
 
     p is written by repr, which matches fmt wherever p has at most 6
     significant digits; with every digit kept, two prevalences that agree to
     6 digits keep apart, and p near 1 does not round to 1.
     """
-    with Path(path).open("w", newline="") as handle:
-        handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
-        for at in range(0, len(table), CHUNK_ROWS):
-            part = table[at : at + CHUNK_ROWS]
-            cells = chain.from_iterable(zip(*(getattr(part, name).tolist() for name in SWEEP_CSV_COLUMNS)))
-            handle.write(_CSV_ROW * len(part) % tuple(cells))
+    with Path(path).open("wb") as handle:
+        handle.write(",".join(SWEEP_CSV_COLUMNS).encode() + b"\r\n")
+        for at in range(0, len(table), WRITE_ROWS):
+            part = table[at : at + WRITE_ROWS]
+            metrics = np.stack([getattr(part, name) for name in SWEEP_CSV_COLUMNS[4:9]], axis=1)
+            handle.write(join_cells([
+                text_cells(part.p, repr),
+                # kind holds one of three ASCII names, whose UCS-4 code units are their bytes.
+                byte_cells(np.ascontiguousarray(part.kind).view(np.uint32).reshape(len(part), -1)),
+                text_cells(part.n, str),
+                text_cells(part.r, str),
+                fmt_cells(metrics.reshape(-1)).reshape(len(part), -1),
+                *(byte_cells(ord("0") + getattr(part, name).view(np.uint8)[:, None]) for name in SWEEP_CSV_COLUMNS[9:]),
+            ]))
 
 
 def _flag(name: str, cell: str) -> bool:

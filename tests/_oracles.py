@@ -129,3 +129,20 @@ def brute_force_front(objectives) -> set[int]:
         if not dominated:
             survivors.add(i)
     return survivors
+
+
+SWEEP_CSV_HEADER = "p,kind,n,r,e_tests,e_fn,e_fp,relative_tests,relative_fn_increase,dominated,dominated_joint"
+
+# One sweep.csv row through Python's own % formatting: p by repr, which keeps
+# every digit, the five metrics as %.6g, and each flag as 0 or 1.
+_SWEEP_ROW = "%r,%s,%d,%d" + ",%.6g" * 5 + ",%d,%d\r\n"
+
+
+def write_sweep_csv_reference(table, path) -> None:
+    """sweep.csv of a sweep table as the package's writer must write it, one
+    row at a time through % formatting of plain Python values."""
+    columns = [getattr(table, name).tolist() for name in SWEEP_CSV_HEADER.split(",")]
+    with open(path, "w", newline="") as handle:
+        handle.write(SWEEP_CSV_HEADER + "\r\n")
+        for row in zip(*columns):
+            handle.write(_SWEEP_ROW % row)

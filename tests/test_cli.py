@@ -231,7 +231,7 @@ class TestFitCommand:
         data.write_bytes(b"n,k,se\n1,1,0.99\n5,1,0.\xff93\n10,1,0.91\n")
         assert main(["fit", "--fit-data", str(data)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"pooltest: error: {data}: ") and "codec can't decode byte 0xff" in err, err
+        assert err.startswith(f"pooltest: error: {data}:3: ") and "codec can't decode byte 0xff in position 22:" in err, err
 
     def test_missing_data_file_exits_one(self, capsys, tmp_path):
         assert main(["fit", "--fit-data", str(tmp_path / "nope.csv")]) == 1
@@ -347,19 +347,27 @@ class TestTablesCommand:
         assert f"pooltest: error: {path}: repeated row for p=0.01, kind=" in capsys.readouterr().err
         assert not (tmp_path / "tables").exists()
 
-    @pytest.mark.parametrize("line, cell", [(3, 1), (0, 1)], ids=["kind-cell", "header"])
-    def test_csv_that_is_not_utf8_exits_one_naming_the_file(self, capsys, tmp_path, line, cell):
-        assert main(["sweep", *self.GRID, "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize(
+        "grid, line, cell",
+        [(GRID, 3, 1), (GRID, 0, 1), (["--p", "0.01"], 200, 1)],
+        ids=["kind-cell", "header", "kind-cell-past-the-first-read"],
+    )
+    def test_csv_that_is_not_utf8_exits_one_naming_the_file(self, capsys, tmp_path, grid, line, cell):
+        """The error names the corrupted line and the byte's offset in the file,
+        also past the text layer's first read of 8 KiB."""
+        assert main(["sweep", *grid, "--out", str(tmp_path)]) == 0
         path = tmp_path / "sweep.csv"
         lines = path.read_bytes().split(b"\r\n")
         cells = lines[line].split(b",")
         cells[cell] = cells[cell][:2] + b"\xff" + cells[cell][2:]
         lines[line] = b",".join(cells)
         path.write_bytes(b"\r\n".join(lines))
+        offset = path.read_bytes().index(b"\xff")
         capsys.readouterr()
         assert main(["tables", "--sweep-csv", str(path), "--out", str(tmp_path / "tables")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"pooltest: error: {path}: ") and "codec can't decode byte 0xff" in err, err
+        assert err.startswith(f"pooltest: error: {path}:{line + 1}: "), err
+        assert f"codec can't decode byte 0xff in position {offset}:" in err, err
         assert not (tmp_path / "tables").exists()
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):

@@ -28,12 +28,12 @@ from pooltest import (
     sweep,
     write_sweep_csv,
 )
-from pooltest.csvio import fmt
+from pooltest.csvio import fmt, fmt_cells, join_cells
 from pooltest.evaluate import check_rows, eval_individual, metric_rules
 from pooltest.kernels import check_prevalence
-from pooltest.pareto import _CSV_ROW, SWEEP_CSV_COLUMNS, ParetoPoint, _dominated
+from pooltest.pareto import SWEEP_CSV_COLUMNS, ParetoPoint, _dominated
 
-from _oracles import brute_force_front
+from _oracles import brute_force_front, write_sweep_csv_reference
 
 pareto_module = importlib.import_module("pooltest.pareto")
 
@@ -404,6 +404,40 @@ class TestFpSummary:
             fp_summary(_table(_point(0.01, 1.0, 0.1), _point(0.02, 1.0, 0.1)))
 
 
+def _cell_texts(values):
+    """The text of each cell fmt_cells gives, its pads and comma dropped."""
+    cells = fmt_cells(values)
+    assert (cells[:, -1] == ord(",")).all()
+    return [bytes(cell[:-1]).replace(b"\0", b"").decode() for cell in cells]
+
+
+def _nudged(value, steps):
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# Doubles nearest a tie of %.6g's rounding, d.ddddd5 * 10**k, and a few ulps either side.
+_NEAR_TIES = st.builds(
+    lambda digits, exponent, steps, negative: (-1) ** negative * _nudged(float(f"{digits}5e{exponent}"), steps),
+    st.integers(100_000, 999_999), st.integers(-330, 310), st.integers(-3, 3), st.booleans(),
+)
+
+_METRIC = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.just(-0.0))
+_SHAPES = st.one_of(
+    st.just(("individual", 1, 1)),
+    st.tuples(st.just("dorfman"), st.integers(2, 10_000), st.just(1)),
+    st.tuples(st.just("modified"), st.integers(2, 10_000), st.integers(1, 100)),
+)
+# Rows of the domain a SweepTable accepts: p in (0, 1) with every digit,
+# n <= 10,000, r <= 100, and relative_fn_increase >= -1, inf included.
+_TABLE_ROWS = st.builds(
+    lambda p, shape, metrics, rel_fn, flags: (p, *shape, *metrics, rel_fn, *flags),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _SHAPES, st.tuples(*[_METRIC] * 4),
+    st.floats(min_value=-1.0), st.tuples(st.booleans(), st.booleans()),
+)
+
+
 class TestSweepCsv:
     def test_round_trip_preserves_structure(self, small_sweep, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -452,10 +486,35 @@ class TestSweepCsv:
 
     def test_row_format_writes_each_metric_as_fmt(self):
         values = [0.0, -0.0, 5e-324, 1e-5, 9.999995e-5, 0.1, 1 / 3, 123456.5, 1e16, -2.5, math.inf, -math.inf, math.nan, 0.25, 2.5]
-        for at in range(0, len(values), 5):
-            five = values[at : at + 5]
-            row = _CSV_ROW % (0.1 + 0.2, "modified", 10, 3, *five, True, False)
-            assert row == ",".join(["0.30000000000000004", "modified", "10", "3", *map(fmt, five), "1", "0"]) + "\r\n"
+        assert _cell_texts(np.array(values)) == list(map(fmt, values))
+        rows = [values[at : at + 5] for at in range(0, len(values), 5)]
+        lines = join_cells([fmt_cells(np.array(rows).reshape(-1)).reshape(len(rows), -1)])
+        assert lines == "".join(",".join(map(fmt, five)) + "\r\n" for five in rows).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), _NEAR_TIES), min_size=1, max_size=40))
+    @example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e-16, 1e21, 999999.5, 9.999995e-5])
+    def test_every_cell_is_fmt_of_its_value(self, values):
+        assert _cell_texts(np.array(values)) == list(map(fmt, values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_TABLE_ROWS, max_size=12), st.sampled_from([1, 2, 5, 4096]), st.sampled_from([1, 2]))
+    def test_a_table_is_written_as_the_reference_writes_it(self, tmp_path_factory, rows, run, step):
+        """Zero, one and several rows, in runs of one row up to all of them,
+        also of a table whose columns are strided views."""
+        table = SweepTable(*(zip(*rows) if rows else [()] * len(SWEEP_CSV_COLUMNS)))[::step]
+        folder = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(pareto_module, "WRITE_ROWS", run):
+            write_sweep_csv(table, folder / "sweep.csv")
+        write_sweep_csv_reference(table, folder / "reference.csv")
+        assert (folder / "sweep.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    def test_a_sweep_of_several_runs_is_written_as_the_reference_writes_it(self, tmp_path):
+        table = sweep(SweepSpec(p_values=(0.001, 1 / 3), n_range=(2, 300), r_range=(1, 10)))
+        assert len(table) > 4096
+        write_sweep_csv(table, tmp_path / "sweep.csv")
+        write_sweep_csv_reference(table, tmp_path / "reference.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_header_alone_is_an_empty_table(self, tmp_path):
         path = tmp_path / "sweep.csv"
