@@ -109,6 +109,7 @@ def fmt_cells(values: np.ndarray) -> np.ndarray:
     rounded = np.rint(mantissa)
     scaled &= (mantissa >= 1e5) & (mantissa < 999999.5) & (np.abs(mantissa - rounded) < 0.5 - 1e-6)
     trail = rounded.astype(np.intp)
+    # A value that fmt formats itself may have more than 6 digits here: lookups by lead clip.
     lead = trail // 1000
     trail -= 1000 * lead
     layout = 16 * scale + 8 * np.signbit(values) + np.maximum(_LEAD_DIGITS.take(lead, mode="clip"), _TRAIL_DIGITS.take(trail))
