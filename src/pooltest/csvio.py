@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-
-# Rows the walked reader holds as Python cells at once, so that its peak
-# memory does not grow with the file.
-CHUNK_ROWS = 256
 
 # Rows the sweep writer formats at once, as cells in numpy: each run's fixed
 # cost of a few dozen array calls is spread over many rows, while its
@@ -157,31 +152,28 @@ def join_cells(cells: Sequence[np.ndarray]) -> bytes:
     return lines.tobytes().translate(None, b"\0")
 
 
-def write_cells(path: str | Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write a header and rows of str cells, each line ended by CRLF as the csv
-    module ends it. No cell may hold a comma, a quote or a line break: none is quoted."""
+def write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows, each line ended by CRLF as the csv module ends
+    it; float cells go through fmt, other cells through str. No cell may hold
+    a comma, a quote or a line break: none is quoted."""
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(",".join(row) + "\r\n" for row in rows)
+        handle.writelines(",".join(fmt(cell) if isinstance(cell, float) else str(cell) for cell in row) + "\r\n" for row in rows)
 
 
-def write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows; float cells go through fmt, other cells through str."""
-    write_cells(path, header, ([fmt(cell) if isinstance(cell, float) else str(cell) for cell in row] for row in rows))
-
-
-def read_columns(path: str | Path, header: list[str], parsers: Sequence[Callable]) -> Iterator[tuple[tuple[int, ...], list[list]]]:
-    """For each run of up to CHUNK_ROWS rows under a header of exactly these
-    names, the rows' line numbers and their cells column by column, each
-    column parsed by its parser in one map.
+def read_columns(path: str | Path, header: list[str], parsers: Sequence[Callable]) -> tuple[list[int], list[list]]:
+    """The line numbers of the rows under a header of exactly these names, and
+    their cells column by column, each cell parsed by its column's parser.
 
     Header cells are stripped and blank rows skipped. A missing or other
-    header, a row of another width, or a cell its parser rejects raises
-    ValueError naming the path, and the line of a bad row: in a run, the first
-    of another width, else the first such cell's, with its parser's message.
-    So does a file that is not text in the locale's encoding, naming the line
-    and the file offset of its first byte that does not decode.
+    header, or the first row in the file of another width or with a cell its
+    parser rejects, raises ValueError naming the path, and the row's line with
+    its parser's message for its leftmost bad cell. So does a file that is
+    not text in the locale's encoding, naming the line and the file offset of
+    its first byte that does not decode.
     """
+    lines: list[int] = []
+    columns: list[list] = [[] for _ in header]
     with Path(path).open(newline="") as handle:
         try:
             reader = csv.reader(handle)
@@ -190,24 +182,17 @@ def read_columns(path: str | Path, header: list[str], parsers: Sequence[Callable
                 raise ValueError(f"{path}: empty file, expected header {','.join(header)}")
             if [cell.strip() for cell in found] != header:
                 raise ValueError(f"{path}: unexpected header {found!r}, expected {','.join(header)}")
-            rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if "".join(row).strip())
-            while chunk := list(islice(rows, CHUNK_ROWS)):
-                for lineno, row in chunk:
-                    if len(row) != len(header):
-                        raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-                lines, cells = zip(*chunk)
+            for lineno, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
                 try:
-                    columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*cells))]
-                except ValueError:
-                    # Only a run with a bad cell is walked again, row by row, to name it.
-                    for lineno, row in chunk:
-                        for parse, cell in zip(parsers, row):
-                            try:
-                                parse(cell)
-                            except ValueError as exc:
-                                raise ValueError(f"{path}:{lineno}: {exc}") from None
-                    raise
-                yield lines, columns
+                    for column, parse, cell in zip(columns, parsers, row):
+                        column.append(parse(cell))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                lines.append(lineno)
         except UnicodeDecodeError as exc:
             # The text layer counts offsets from its last read: decoding the
             # whole file finds the first bad byte's offset in the file.
@@ -218,3 +203,4 @@ def read_columns(path: str | Path, header: list[str], parsers: Sequence[Callable
                 exc = whole
             line = raw[: exc.start].decode(handle.encoding).count("\n") + 1
             raise ValueError(f"{path}:{line}: {exc}") from None
+    return lines, columns

@@ -240,12 +240,12 @@ def fit_dilution_model(
 def load_observations(path: str | Path) -> tuple[SensitivityObservation, ...]:
     """Read pool sensitivity observations from a CSV with header n,k,se."""
     observations = []
-    for lines, columns in read_columns(path, ["n", "k", "se"], [int, int, float]):
-        for line, n, k, se in zip(lines, *columns):
-            try:
-                observations.append(SensitivityObservation(n=n, k=k, se_observed=se))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from None
+    lines, columns = read_columns(path, ["n", "k", "se"], [int, int, float])
+    for line, n, k, se in zip(lines, *columns):
+        try:
+            observations.append(SensitivityObservation(n=n, k=k, se_observed=se))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
     if not observations:
         raise ValueError(f"{path}: no observation rows")
     return tuple(observations)

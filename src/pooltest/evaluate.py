@@ -236,15 +236,16 @@ def pooled_metrics(kit: TestKit, outcomes: PoolOutcomes) -> tuple[np.ndarray, ..
 
 def _covering_outcomes(
     model: DilutionModel, p: float, n: int, r: int, outcomes: PoolOutcomes | None
-) -> PoolOutcomes:
-    """outcomes when it is pool_outcomes of this model, n, p and an r_max >= r;
-    a fresh kernel call when it is None."""
+) -> tuple[float, int, int, PoolOutcomes]:
+    """p, n and r checked, and outcomes when it is pool_outcomes of this model,
+    n, p and an r_max >= r; a fresh kernel call when it is None."""
+    p, n, r = check_prevalence(p), check_pool_size(n, minimum=2), check_retest_count(r)
     if outcomes is None:
-        return pool_outcomes(model, n, p, model.kit.sp, r)
+        return p, n, r, pool_outcomes(model, n, p, model.kit.sp, r)
     covered = (outcomes.model, outcomes.n, outcomes.p, outcomes.sp) == (model, n, p, model.kit.sp)
     if not covered or r >= len(outcomes.extra_reads):
         raise ValueError(f"pool outcomes do not cover n={n}, p={p}, sp={model.kit.sp}, r={r}")
-    return outcomes
+    return p, n, r, outcomes
 
 
 def eval_dorfman(
@@ -265,10 +266,7 @@ def eval_modified(
     outcomes, when given, is pool_outcomes of this model, n and p for an
     r_max >= r, so that one kernel call serves every r and the posteriors.
     """
-    p = check_prevalence(p)
-    n = check_pool_size(n, minimum=2)
-    r = check_retest_count(r)
-    outcomes = _covering_outcomes(model, p, n, r, outcomes)
+    p, n, r, outcomes = _covering_outcomes(model, p, n, r, outcomes)
     return Metrics(*(values[r] for values in pooled_metrics(model.kit, outcomes)))
 
 
@@ -291,10 +289,7 @@ def _posterior(
     outcomes: PoolOutcomes | None,
     declared_positive: bool,
 ) -> float:
-    p = check_prevalence(p)
-    n = check_pool_size(n, minimum=2)
-    r = check_retest_count(r)
-    outcomes = _covering_outcomes(model, p, n, r, outcomes)
+    p, n, r, outcomes = _covering_outcomes(model, p, n, r, outcomes)
     if declared_positive:
         share, event = outcomes.detected_share[r], outcomes.p_declared_pos[r]
     else:

@@ -389,7 +389,7 @@ def _read_plain(path: str | Path) -> SweepTable | None:
         except (ValueError, Warning):
             return None
     flags = [rows[name] for name in SWEEP_CSV_COLUMNS[9:]]
-    if not (np.isin(rows["kind"], (_INDIVIDUAL, _DORFMAN, _MODIFIED)).all() and np.isin(flags, ("0", "1")).all()):
+    if not np.isin(flags, ("0", "1")).all():
         return None
     try:
         return SweepTable(*(np.ascontiguousarray(rows[name]) for name in SWEEP_CSV_COLUMNS[:9]), *(flag == "1" for flag in flags))
@@ -411,12 +411,7 @@ def read_sweep_csv(path: str | Path) -> SweepTable:
     """
     table = _read_plain(path)
     if table is None:
-        lines: list[int] = []
-        columns: list[list] = [[] for _ in SWEEP_CSV_COLUMNS]
-        for chunk_lines, chunk in read_columns(path, SWEEP_CSV_COLUMNS, _PARSERS):
-            lines += chunk_lines
-            for column, values in zip(columns, chunk):
-                column += values
+        lines, columns = read_columns(path, SWEEP_CSV_COLUMNS, _PARSERS)
         try:
             table = SweepTable(*columns)
         except RowError as exc:

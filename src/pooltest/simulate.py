@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -313,17 +314,12 @@ def simulate(config: SimConfig, threads: int = 1, *, per_subject: bool = False) 
     full_pools, remainder = divmod(config.subjects, n)
     pools_per_chunk = max(1, _CHUNK_SUBJECT_TARGET // n if per_subject else full_pools)
     law = _pool_law(config, n)
-    short_law = _pool_law(config, remainder) if remainder else None
-    starts = range(0, full_pools, pools_per_chunk)
-
-    def run(ci: int):
-        if ci == len(starts):
-            return chunk(config, 1, short_law, ci)
-        return chunk(config, min(pools_per_chunk, full_pools - starts[ci]), law, ci)
-
+    # Each chunk's pools and law, made as it runs; the short pool's comes last.
+    full = ((min(pools_per_chunk, full_pools - start), law) for start in range(0, full_pools, pools_per_chunk))
+    short = [(1, _pool_law(config, remainder))] if remainder else []
     totals = [0] * 6
-    for ci in range(len(starts) + bool(remainder)):
-        totals = [total + count for total, count in zip(totals, run(ci))]
+    for ci, (pools, pool_law) in enumerate(chain(full, short)):
+        totals = [total + count for total, count in zip(totals, chunk(config, pools, pool_law, ci))]
     pool_tests, individual_tests, tp, fp, tn, fn = totals
     return SimResult(
         subjects=config.subjects,

@@ -381,6 +381,8 @@ class TestLoadObservations:
     @pytest.mark.parametrize("text, where", [
         ("n,k,se\n5,9,0.93\n", "obs.csv:2"),
         ("n,k,se\n5,1,0.93\n10,1,high\n", "obs.csv:3: could not convert string to float: 'high'"),
+        pytest.param("n,k,se\n" + "5,1,0.93\n" * 3 + "x,1,0.93\n" + "5,1,0.93\n" * 10 + "5,1\n", "obs.csv:5: invalid literal for int",
+                     id="bad-cell-above-a-short-row"),
     ])
     def test_rejects_bad_row(self, tmp_path, text, where):
         path = tmp_path / "obs.csv"

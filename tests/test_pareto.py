@@ -672,8 +672,8 @@ def four_prevalences_csv(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def eight_prevalences_csv(tmp_path_factory):
-    """sweep.csv of a real sweep, 360 rows over two 256-row runs; each
-    prevalence's rows are 45 lines, its individual row the first."""
+    """sweep.csv of a real sweep, 360 rows; each prevalence's rows are 45
+    lines, its individual row the first."""
     path = tmp_path_factory.mktemp("csv") / "sweep.csv"
     spec = SweepSpec(p_values=(0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2), n_range=(2, 12), r_range=(2, 4))
     write_sweep_csv(sweep(spec), path)
@@ -713,15 +713,26 @@ class TestReaderChecksEveryRow:
 
     @pytest.mark.parametrize("failing, unparsable", [(140, 160), (140, 300), (270, 300)])
     def test_a_cell_that_does_not_parse_is_named_first(self, eight_prevalences_csv, tmp_path, failing, unparsable):
-        """A row that fails a rule, above a cell that does not parse in the
-        same 256-row run (lines 2-257) or a later one: the cell is named, as
-        the file is read, before any rule runs."""
+        """A row that fails a rule, above a cell that does not parse 30 or 160
+        lines below it: the cell is named, as the file is read, before any
+        rule runs."""
         assert len(eight_prevalences_csv) > 300
         path = _edited(tmp_path, eight_prevalences_csv, (failing, "e_tests", "-0.5"), (unparsable, "n", "2.5"))
         with pytest.raises(ValueError, match=re.escape(f"{path}:{unparsable}: invalid literal for int")):
             read_sweep_csv(path)
         path = _edited(tmp_path, eight_prevalences_csv, (failing, "e_tests", "-0.5"))
         with pytest.raises(ValueError, match=re.escape(f"{path}:{failing}: e_tests must be finite and nonnegative")):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize("unparsable, short", [(10, 200), (200, 10), (10, 300)])
+    def test_the_first_faulty_line_in_the_file_is_named(self, eight_prevalences_csv, tmp_path, unparsable, short):
+        """A cell that does not parse and a row cut to 10 cells: whichever
+        comes first in the file is named, however far apart they are."""
+        lines = list(eight_prevalences_csv)
+        lines[short - 1] = lines[short - 1].rsplit(",", 1)[0]
+        path = _edited(tmp_path, lines, (unparsable, "n", "2.5"))
+        message = "invalid literal for int" if unparsable < short else "expected 11 columns, got 10"
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{min(unparsable, short)}: {message}")):
             read_sweep_csv(path)
 
 
