@@ -713,9 +713,9 @@ class TestReaderChecksEveryRow:
 
     @pytest.mark.parametrize("failing, unparsable", [(140, 160), (140, 300), (270, 300)])
     def test_a_cell_that_does_not_parse_is_named_first(self, eight_prevalences_csv, tmp_path, failing, unparsable):
-        """A row that fails a rule, above a cell that does not parse 30 or 160
-        lines below it: the cell is named, as the file is read, before any
-        rule runs."""
+        """A row that fails a rule, above a cell that does not parse 20, 30 or
+        160 lines below it: the cell is named, as the file is read, before
+        any rule runs."""
         assert len(eight_prevalences_csv) > 300
         path = _edited(tmp_path, eight_prevalences_csv, (failing, "e_tests", "-0.5"), (unparsable, "n", "2.5"))
         with pytest.raises(ValueError, match=re.escape(f"{path}:{unparsable}: invalid literal for int")):
